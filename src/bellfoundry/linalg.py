@@ -1,85 +1,22 @@
-"""Cyclic Jacobi eigenvalues for small dense Hermitian matrices.
-
-The matrices in this package are at most 4x4, so a hand-rolled Jacobi
-sweep is plenty.  The implementation is batched: an input of shape
-(..., n, n) is diagonalized for every leading index simultaneously with
-vectorized rotations, which keeps large angle-grid scans fast.
-
-Complex Hermitian input H = X + iY is handled through the standard real
-symmetric embedding [[X, -Y], [Y, X]], whose spectrum is that of H with
-every eigenvalue doubled.
-"""
+"""Spectral norm of small dense Hermitian matrices, batched over leading axes."""
 
 from __future__ import annotations
 
 import numpy as np
 
-JACOBI_TOL = 1e-13
+HERMITICITY_TOL = 1e-12
 
 
-def _jacobi_real(a: np.ndarray, tol: float, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of batched real symmetric matrices (..., n, n)."""
-    a = np.array(a, dtype=float)
-    n = a.shape[-1]
-    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[..., p, q]
-                off = max(off, float(np.abs(apq / scale).max()))
-                active = np.abs(apq) > tol * scale * 1e-3
-                if not active.any():
-                    continue
-                app = a[..., p, p]
-                aqq = a[..., q, q]
-                # classic stable rotation: t = sign(tau) / (|tau| + sqrt(1 + tau^2))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    tau = (aqq - app) / (2.0 * apq)
-                # sign(0) must be +1 here: tau = 0 needs the full 45-degree rotation
-                sign_tau = np.where(tau >= 0.0, 1.0, -1.0)
-                t = sign_tau / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                t = np.where(np.isfinite(t), t, 0.0)
-                t = np.where(active, t, 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                cp = c[..., None]
-                sp = s[..., None]
-                col_p = a[..., :, p].copy()
-                col_q = a[..., :, q].copy()
-                a[..., :, p] = cp * col_p - sp * col_q
-                a[..., :, q] = sp * col_p + cp * col_q
-                row_p = a[..., p, :].copy()
-                row_q = a[..., q, :].copy()
-                a[..., p, :] = cp * row_p - sp * row_q
-                a[..., q, :] = sp * row_p + cp * row_q
-        if off < tol:
-            break
-    return np.diagonal(a, axis1=-2, axis2=-1).copy()
+def spectral_norm(h: np.ndarray) -> np.ndarray:
+    """Largest absolute eigenvalue via ``np.linalg.eigvalsh``, batched over leading axes.
 
-
-def jacobi_eigenvalues(h: np.ndarray, tol: float = JACOBI_TOL) -> np.ndarray:
-    """Sorted eigenvalues of Hermitian matrices, batched over leading axes.
-
-    Raises ValueError if the input is not Hermitian to within 1e-12.
+    Raises ValueError if the input is not square or not Hermitian to
+    within HERMITICITY_TOL.
     """
     h = np.asarray(h)
-    if h.shape[-1] != h.shape[-2]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError("matrix must be square")
     residual = np.abs(h - np.conj(np.swapaxes(h, -2, -1))).max()
-    if residual > 1e-12:
+    if residual > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
-    if np.iscomplexobj(h) and np.abs(h.imag).max() > tol:
-        x = h.real
-        y = h.imag
-        top = np.concatenate([x, -y], axis=-1)
-        bottom = np.concatenate([y, x], axis=-1)
-        eigs = _jacobi_real(np.concatenate([top, bottom], axis=-2), tol)
-        return np.sort(eigs, axis=-1)[..., ::2]
-    return np.sort(_jacobi_real(h.real, tol), axis=-1)
-
-
-def spectral_norm(h: np.ndarray, tol: float = JACOBI_TOL) -> np.ndarray:
-    """Largest absolute eigenvalue, batched over leading axes."""
-    eigs = jacobi_eigenvalues(h, tol)
-    return np.abs(eigs).max(axis=-1)
+    return np.abs(np.linalg.eigvalsh(h)).max(axis=-1)

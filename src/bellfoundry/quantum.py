@@ -15,13 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Axis, Outcome, PairCounts, TSIRELSON_BOUND, V_MAX, wrap_delta
-from .linalg import jacobi_eigenvalues, spectral_norm
+from .linalg import HERMITICITY_TOL, spectral_norm
 from .rng import substream
 
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-HERMITICITY_TOL = 1e-12
+#: Grid points cross-checked by ``eigvalsh`` in chsh_norm_grid, drawn from
+#: the fixed key (0, NORM_CHECK_STREAM), and the agreement they must reach.
+NORM_CHECK_POINTS = 4096
+NORM_CHECK_STREAM = 10
+NORM_CHECK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,12 +115,48 @@ def chsh_operator(a: Axis, ap: Axis, b: Axis, bp: Axis, sign_choice: int = 1) ->
 
 
 def operator_norm(h: HermitianOperator) -> float:
-    """Spectral norm (max absolute eigenvalue) via cyclic Jacobi."""
+    """Spectral norm (max absolute eigenvalue) via ``np.linalg.eigvalsh``."""
     return float(spectral_norm(h.entries))
 
 
 def operator_eigenvalues(h: HermitianOperator) -> np.ndarray:
-    return jacobi_eigenvalues(h.entries)
+    """Ascending eigenvalues via ``np.linalg.eigvalsh``."""
+    return np.linalg.eigvalsh(h.entries)
+
+
+def _spin_batch(theta: np.ndarray) -> np.ndarray:
+    """Real x-z spin operators, shape (..., 2, 2), entrywise equal to spin_operator."""
+    c = 0.5 * np.cos(theta)
+    s = 0.5 * np.sin(theta)
+    return np.stack([np.stack([c, s], axis=-1), np.stack([s, -c], axis=-1)], axis=-2)
+
+
+def _kron_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...kl->...ikjl", x, y).reshape(*x.shape[:-2], 4, 4)
+
+
+def _chsh_batch(quads: np.ndarray, sign: int) -> np.ndarray:
+    """Real CHSH operators (n, 4, 4) for angle rows (theta_a, theta_a', theta_b, theta_b')."""
+    s1a, s1ap, s2b, s2bp = (_spin_batch(quads[:, k]) for k in range(4))
+    return (
+        _kron_batch(s1a, s2b)
+        - sign * _kron_batch(s1a, s2bp)
+        + _kron_batch(s1ap, s2b)
+        + sign * _kron_batch(s1ap, s2bp)
+    )
+
+
+def _identity_residual(quads: np.ndarray) -> float:
+    """Entrywise-max residual of the squared-CHSH identity over angle rows, both signs."""
+    s1a, s1ap, s2b, s2bp = (_spin_batch(quads[:, k]) for k in range(4))
+    comm = _kron_batch(s1a @ s1ap - s1ap @ s1a, s2b @ s2bp - s2bp @ s2b)
+    identity = np.eye(4)
+    worst = 0.0
+    for sign in (1, -1):
+        chsh = _chsh_batch(quads, sign)
+        expected = 4.0 * V_MAX**4 * identity + sign * comm
+        worst = max(worst, float(np.abs(chsh @ chsh - expected).max()))
+    return worst
 
 
 def verify_operator_identity(a: Axis, ap: Axis, b: Axis, bp: Axis) -> float:
@@ -126,20 +166,7 @@ def verify_operator_identity(a: Axis, ap: Axis, b: Axis, bp: Axis) -> float:
     single-particle commutators; the identity is exact, so the returned
     entrywise-max residual should sit at rounding level.
     """
-    s1a = spin_operator(a).entries
-    s1ap = spin_operator(ap).entries
-    s2b = spin_operator(b).entries
-    s2bp = spin_operator(bp).entries
-    comm1 = s1a @ s1ap - s1ap @ s1a
-    comm2 = s2b @ s2bp - s2bp @ s2b
-    identity = np.eye(4, dtype=complex)
-    worst = 0.0
-    for sign in (1, -1):
-        chsh = _chsh_matrix(a, ap, b, bp, sign)
-        expected = 4.0 * V_MAX**4 * identity + sign * np.kron(comm1, comm2)
-        residual = float(np.abs(chsh @ chsh - expected).max())
-        worst = max(worst, residual)
-    return worst
+    return _identity_residual(np.array([[a.theta, ap.theta, b.theta, bp.theta]]))
 
 
 def chsh_norm_grid(resolution: int, a_theta: float = 0.0) -> tuple:
@@ -147,65 +174,41 @@ def chsh_norm_grid(resolution: int, a_theta: float = 0.0) -> tuple:
 
     Returns (best_axes, best_norm).  The grid steps are 2*pi/resolution, so
     the exact optimum lies on the grid whenever resolution is a multiple
-    of 8.  Matrices are built for the whole grid and diagonalized with the
-    batched Jacobi sweep; the result never exceeds the Tsirelson bound.
+    of 8.  The squared-CHSH identity fixes the spectrum, so every grid
+    point is scored in closed form,
+    ||CHSH|| = 2 V_MAX^2 sqrt(1 + |sin(a' - a) sin(b' - b)|),
+    which is the same for both sign choices; the returned sign is +1.
+    As an independent route, ``eigvalsh`` of the explicitly built
+    operators, both signs, at NORM_CHECK_POINTS seeded grid points and at
+    the optimum must agree with the closed form to NORM_CHECK_TOL.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     thetas = np.arange(resolution) * (2.0 * math.pi / resolution)
-    cos_t = np.cos(thetas)
-    sin_t = np.sin(thetas)
-    # real x-z representation: S(theta) = (cos sz + sin sx) / 2
-    ops = 0.5 * (
-        cos_t[:, None, None] * _SIGMA_Z.real + sin_t[:, None, None] * _SIGMA_X.real
-    )
-    s1a = 0.5 * (math.cos(a_theta) * _SIGMA_Z.real + math.sin(a_theta) * _SIGMA_X.real)
+    sin_ap = np.abs(np.sin(thetas - a_theta))  # (a',)
+    sin_bbp = np.abs(np.sin(thetas[None, :] - thetas[:, None]))  # (b, b')
+    norms = 2.0 * V_MAX**2 * np.sqrt(1.0 + sin_ap[:, None, None] * sin_bbp[None])
+    best_flat = int(np.argmax(norms))
 
-    def kron_batch(x, y):
-        return np.einsum("...ij,...kl->...ikjl", x, y).reshape(*x.shape[:-2], 4, 4)
-
-    m = resolution
-    best_norm = -1.0
-    best = None
-    t_ab = kron_batch(np.broadcast_to(s1a, (m, 2, 2)), ops)  # (b, 4, 4)
-    t_apb = kron_batch(
-        np.broadcast_to(ops[:, None], (m, m, 2, 2)),
-        np.broadcast_to(ops[None, :], (m, m, 2, 2)),
-    )  # (a', b, 4, 4)
+    n_check = min(norms.size, NORM_CHECK_POINTS)
+    picks = substream(0, stream=NORM_CHECK_STREAM).choice(norms.size, n_check, replace=False)
+    picks = np.append(picks, best_flat)
+    i_ap, i_b, i_bp = np.unravel_index(picks, norms.shape)
+    quads = np.stack([np.full(picks.size, a_theta), thetas[i_ap], thetas[i_b], thetas[i_bp]], axis=-1)
     for sign in (1, -1):
-        # batch over (a', b) for each b' slice to bound memory
-        for ibp in range(m):
-            s2bp = ops[ibp]
-            t_abp = np.kron(s1a, s2bp)
-            t_apbp = kron_batch(ops, np.broadcast_to(s2bp, (m, 2, 2)))  # (a', 4, 4)
-            batch = (
-                t_ab[None, :]
-                - sign * t_abp[None, None]
-                + t_apb
-                + sign * t_apbp[:, None]
-            )
-            norms = spectral_norm(batch)
-            idx = np.unravel_index(int(np.argmax(norms)), norms.shape)
-            if norms[idx] > best_norm:
-                best_norm = float(norms[idx])
-                best = (
-                    Axis(a_theta),
-                    Axis(thetas[idx[0]]),
-                    Axis(thetas[idx[1]]),
-                    Axis(thetas[ibp]),
-                    sign,
-                )
-    return best, best_norm
+        gap = np.abs(spectral_norm(_chsh_batch(quads, sign)) - norms.flat[picks]).max()
+        if gap > NORM_CHECK_TOL:
+            raise ArithmeticError(f"closed-form CHSH norm disagrees with eigvalsh by {gap:.3e}")
+
+    i_ap, i_b, i_bp = np.unravel_index(best_flat, norms.shape)
+    best = (Axis(a_theta), Axis(thetas[i_ap]), Axis(thetas[i_b]), Axis(thetas[i_bp]), 1)
+    return best, float(norms.flat[best_flat])
 
 
 def identity_residual_scan(n_quadruples: int, seed: int) -> float:
     """Worst commutator-identity residual over random axis quadruples."""
-    rng = substream(seed, stream=9)
-    worst = 0.0
-    for _ in range(n_quadruples):
-        axes = [Axis(t) for t in rng.uniform(0.0, 2.0 * math.pi, size=4)]
-        worst = max(worst, verify_operator_identity(*axes))
-    return worst
+    thetas = substream(seed, stream=9).uniform(0.0, 2.0 * math.pi, size=(n_quadruples, 4))
+    return _identity_residual(thetas)
 
 
 def tsirelson_margin(norm: float) -> float:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from bellfoundry import cli
 from bellfoundry.cli import (
     OPTIMAL_AXES,
     UsageError,
@@ -15,6 +16,32 @@ from bellfoundry.cli import (
 from bellfoundry.engine import MODELS, run_pair_counts
 from bellfoundry.geometry import Axis, empirical_expectation
 from bellfoundry.quantum import singlet_expectation
+
+
+# Exact stdout at seed 1; any change to a printed value must update these.
+GOLDEN_VERIFY_ALL_SEED_1 = """\
+check=chsh.sign_lhv_mc_grid status=pass value=0.5 bound=0.5 margin=0
+check=chsh.vertex_joint_distributions status=pass value=0.5 bound=0.5 margin=0
+check=chsh.singlet_violation status=pass value=0.707106781187 bound=0.707106781187 margin=1.11022302463e-16
+check=wigner.deterministic_holds status=pass value=1.35308431126e-16 bound=1e-12 margin=9.99864691569e-13
+check=wigner.quantum_violates status=pass value=0.5 bound=0.707106781187 margin=0.207106781187
+check=tsirelson.grid_max_norm status=pass value=0.707106781187 bound=0.707106781187 margin=0
+check=identity.max_residual status=pass value=1.38777878078e-16 bound=1e-12 margin=9.99861222122e-13
+check=stochastic_defect.deterministic_model status=pass value=0 bound=0 margin=0
+check=stochastic_defect.constant_half_model status=pass value=0.5 bound=0.5 margin=0
+suite=all overall=pass
+"""
+
+GOLDEN_ORACLE_SEED_1 = """\
+oracle=singlet_expectation_pi_over_4 value=-0.17677669529663687
+oracle=chsh_operator_norm_numpy value=0.7071067811865475
+oracle=wigner_overlap_quadrature_pi_over_2 value=0.25
+oracle=sign_model_quadrature_d=1.570796 value=0.0
+oracle=sign_model_quadrature_d=0.785398 value=-0.125
+oracle=hemi_average_quadrature_pi_over_3 value=0.4999999999999964
+oracle=vertex_joint_chsh_max value=0.5
+oracle=dirichlet_joint_chsh_max value=0.40764779257865924
+"""
 
 
 def _simulate_args(tmp_path, *extra):
@@ -219,6 +246,28 @@ class TestVerify:
         assert rc == 2
         assert "unknown suite" in capsys.readouterr().err
 
+    def test_golden_stdout_all_seed_1(self, capsys):
+        assert main(["verify", "--suite", "all", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == GOLDEN_VERIFY_ALL_SEED_1
+
+    def test_wigner_mc_triples_use_distinct_streams(self, monkeypatch):
+        keys = []
+        real = cli.substream
+
+        def recording(seed, stream=0, batch=0):
+            keys.append((seed, stream, batch))
+            return real(seed, stream, batch)
+
+        # the MC measure itself is not under test: skip its sampling
+        monkeypatch.setattr(cli, "substream", recording)
+        monkeypatch.setattr(
+            cli, "wigner_inequality_check", lambda *args, **kwargs: (1.0, 0.0, True)
+        )
+        cli.verify_wigner(5)
+        mc_keys = [k for k in keys if k[1] == 103]
+        assert len(mc_keys) == 100
+        assert len(set(mc_keys)) == 100
+
     def test_run_verify_returns_lines(self):
         ok, lines = run_verify("identity", 1)
         assert ok
@@ -233,6 +282,10 @@ class TestOracle:
         assert "oracle=chsh_operator_norm_numpy" in out
         norm = float(out.split("oracle=chsh_operator_norm_numpy value=")[1].splitlines()[0])
         assert norm == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+
+    def test_golden_stdout_seed_1(self, capsys):
+        assert main(["oracle", "--seed", "1"]) == 0
+        assert capsys.readouterr().out == GOLDEN_ORACLE_SEED_1
 
 
 class TestUsageErrors:

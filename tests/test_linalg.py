@@ -1,29 +1,21 @@
 import numpy as np
 import pytest
 
-from bellfoundry.linalg import jacobi_eigenvalues, spectral_norm
+from bellfoundry.linalg import spectral_norm
 
 
 def test_diagonal_matrix():
-    eigs = jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0, 0.5]))
-    np.testing.assert_allclose(eigs, [-1.0, 0.5, 2.0, 3.0], atol=1e-13)
-
-
-def test_equal_diagonal_needs_full_rotation():
-    # tau = 0 case: both diagonal entries equal, rotation is 45 degrees
-    m = np.array([[1.0, 2.0], [2.0, 1.0]])
-    # 2x2 input is not a package operator, go through the raw routine
-    np.testing.assert_allclose(jacobi_eigenvalues(m), [-1.0, 3.0], atol=1e-12)
+    assert spectral_norm(np.diag([3.0, -1.0, 2.0, 0.5])) == pytest.approx(3.0, abs=1e-13)
+    assert spectral_norm(np.diag([0.5, -4.0, 2.0, 0.5])) == pytest.approx(4.0, abs=1e-13)
 
 
 def test_matches_numpy_real_symmetric():
+    # oracle: the 2-norm from numpy's SVD, a route that never calls eigvalsh
     rng = np.random.default_rng(5)
     for _ in range(100):
         m = rng.standard_normal((4, 4))
         m = m + m.T
-        np.testing.assert_allclose(
-            jacobi_eigenvalues(m), np.linalg.eigvalsh(m), atol=1e-11
-        )
+        assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), abs=1e-11)
 
 
 def test_matches_numpy_complex_hermitian():
@@ -31,18 +23,17 @@ def test_matches_numpy_complex_hermitian():
     for _ in range(50):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         m = m + m.conj().T
-        np.testing.assert_allclose(
-            jacobi_eigenvalues(m), np.linalg.eigvalsh(m), atol=1e-10
-        )
+        assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), abs=1e-10)
 
 
 def test_batched_matches_loop():
     rng = np.random.default_rng(7)
     batch = rng.standard_normal((32, 4, 4))
     batch = batch + np.swapaxes(batch, -2, -1)
-    batched = jacobi_eigenvalues(batch)
+    batched = spectral_norm(batch)
+    assert batched.shape == (32,)
     for i in range(32):
-        np.testing.assert_allclose(batched[i], np.linalg.eigvalsh(batch[i]), atol=1e-11)
+        assert batched[i] == pytest.approx(np.abs(np.linalg.eigvalsh(batch[i])).max(), abs=1e-12)
 
 
 def test_spectral_norm():
@@ -53,4 +44,12 @@ def test_spectral_norm():
 
 def test_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    batch = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.5, 0.0]])])
+    with pytest.raises(ValueError, match="Hermitian"):
+        spectral_norm(batch)
+
+
+def test_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        spectral_norm(np.zeros((2, 3)))

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from bellfoundry.geometry import Axis, MINUS, PLUS, TSIRELSON_BOUND
+from bellfoundry import quantum
+from bellfoundry.geometry import Axis, MINUS, PLUS, TSIRELSON_BOUND, V_MAX
 from bellfoundry.quantum import (
     HermitianOperator,
     chsh_norm_grid,
     chsh_operator,
+    identity_residual_scan,
     operator_norm,
     singlet_expectation,
     singlet_joint_probability,
@@ -147,6 +149,22 @@ class TestOperatorIdentity:
     def test_optimal_axes(self):
         assert verify_operator_identity(*OPTIMAL) < 1e-12
 
+    def test_batched_scan_matches_loop(self):
+        # reference: the scan one quadruple at a time on the complex
+        # HermitianOperator entries, drawing the same angles in the same order
+        seed = 11
+        rng = substream(seed, stream=9)
+        worst = 0.0
+        for _ in range(200):
+            axes = [Axis(t) for t in rng.uniform(0, 2 * math.pi, size=4)]
+            s = [spin_operator(x).entries for x in axes]
+            comm = np.kron(s[0] @ s[1] - s[1] @ s[0], s[2] @ s[3] - s[3] @ s[2])
+            for sign in (1, -1):
+                op = chsh_operator(*axes, sign_choice=sign).entries
+                expected = 4.0 * V_MAX**4 * np.eye(4) + sign * comm
+                worst = max(worst, float(np.abs(op @ op - expected).max()))
+        assert identity_residual_scan(200, seed) == pytest.approx(worst, abs=2**-52)
+
 
 class TestNormGrid:
     def test_small_grid_reaches_tsirelson(self):
@@ -157,3 +175,25 @@ class TestNormGrid:
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError):
             chsh_norm_grid(1)
+
+    def test_closed_form_matches_eigvalsh(self):
+        rng = substream(29)
+        for _ in range(500):
+            axes = [Axis(t) for t in rng.uniform(0, 2 * math.pi, size=4)]
+            a, ap, b, bp = (x.theta for x in axes)
+            closed = 2 * V_MAX**2 * math.sqrt(1 + abs(math.sin(ap - a) * math.sin(bp - b)))
+            for sign in (1, -1):
+                op = chsh_operator(*axes, sign_choice=sign).entries
+                assert np.abs(np.linalg.eigvalsh(op)).max() == pytest.approx(closed, abs=1e-12)
+
+    def test_grid_optimum_has_tsirelson_spectrum(self):
+        best, norm = chsh_norm_grid(64)
+        assert norm == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
+        op = chsh_operator(*best[:4], sign_choice=best[4]).entries
+        assert np.abs(np.linalg.eigvalsh(op)).max() == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
+
+    def test_eigvalsh_disagreement_raises(self, monkeypatch):
+        real = quantum.spectral_norm
+        monkeypatch.setattr(quantum, "spectral_norm", lambda h: real(h) + 1e-9)
+        with pytest.raises(ArithmeticError, match="eigvalsh"):
+            chsh_norm_grid(8)
