@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -42,6 +43,40 @@ oracle=hemi_average_quadrature_pi_over_3 value=0.4999999999999964
 oracle=vertex_joint_chsh_max value=0.5
 oracle=dirichlet_joint_chsh_max value=0.40764779257865924
 """
+
+# sha256 of the three simulate files for GOLDEN_REPORT_CONFIG at threads 1
+# and 2.  The trial count leaves a ragged last batch (2 full + 17).  Any
+# change to a drawn number or to the report format must update these.
+GOLDEN_REPORT_CONFIG = {
+    "axes": [list(OPTIMAL_AXES), [0.3, 5.9, 1.1, 4.2]],
+    "trials": 2 * 65536 + 17,
+    "seed": 20261018,
+}
+
+GOLDEN_REPORT_SHA256 = {
+    "quantum": (
+        "5a861bb6e5d0dbd7ac727fe3af8f8862f070c8d648ab6f679d0de6bfa0cc917a",
+        "8ae518211e3280501a85b7bbe32e08033d7bb3e99534aee551ee8197d9bcc743",
+        "f71999a042f2b27c46bb71fdec0781b640475ab3f2c70b280121c0344cb008d6",
+    ),
+    "sign-lhv": (
+        "e5b992e9bcef9b460e36e7c1c5939cf4fd891805b34fb90925348e104b55fb14",
+        "8f5a9c8ad8acee9029630f00519c775f65c6d4fb5df6951c898b5ce1cdbc7779",
+        "cc7e31a18d2f4e119de0cb1801cb27445f32f6b2e1ed39d71febc4b9109ee701",
+    ),
+    "model1": (
+        "f14a56692de03849536c9c9f0b8e9335a18ff0854aa439b23d1ff6598a75f406",
+        "3515580ac76a1cc5ec36607ccaeed5c6bda5ee4b7e2330a47409f8502ca06600",
+        "944d78c1228ac7fb6d0ebfb17751c6d8e31f9670a28685061ca58144648252c8",
+    ),
+    "model2": (
+        "f14a56692de03849536c9c9f0b8e9335a18ff0854aa439b23d1ff6598a75f406",
+        "3515580ac76a1cc5ec36607ccaeed5c6bda5ee4b7e2330a47409f8502ca06600",
+        "2a4c2b57e2487b6a40918d955ec99ef5fcfc4c42ea05cde96f2ce1f572d9a1b3",
+    ),
+}
+
+REPORT_SUFFIXES = ("_counts.csv", "_summary.csv", "_report.json")
 
 
 def _simulate_args(tmp_path, *extra):
@@ -186,6 +221,22 @@ class TestSimulate:
         assert rc == 0
         report = json.loads((tmp_path / "run_report.json").read_text())
         assert [run["run_id"] for run in report["runs"]] == [0, 1]
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("model", sorted(GOLDEN_REPORT_SHA256))
+    def test_report_sha256(self, tmp_path, model, threads):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": model, **GOLDEN_REPORT_CONFIG}))
+        prefix = tmp_path / "run"
+        argv = ["simulate", "--config", str(config), "--out", str(prefix), "--threads", str(threads)]
+        assert main(argv) == 0
+        digests = tuple(
+            hashlib.sha256((tmp_path / f"run{suffix}").read_bytes()).hexdigest()
+            for suffix in REPORT_SUFFIXES
+        )
+        assert digests == GOLDEN_REPORT_SHA256[model]
 
 
 class TestEngine:
