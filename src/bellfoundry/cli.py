@@ -10,11 +10,14 @@ checks pass, 1 an inequality suite failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import copy
 import json
 import math
 import os
 import sys
 import time
+import uuid
 
 import numpy as np
 
@@ -54,23 +57,64 @@ def _parse_axes(value):
         raise UsageError(f"bad angle in --axes: {exc}") from exc
 
 
+#: Every config key with its default; a config file may set only these.
+CONFIG_DEFAULTS = {
+    "model": "quantum",
+    "axes": [list(OPTIMAL_AXES)],
+    "trials": 100_000,
+    "seed": 1,
+    "sign_choice": 1,
+    "output": "bellfoundry_run",
+    "threads": 1,
+    "grid": 16,
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_angle(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+def _validate_config(config: dict) -> None:
+    """Raise UsageError unless every value has the type and range its key needs."""
+    if not isinstance(config["model"], str) or config["model"] not in MODELS:
+        raise UsageError(f"unknown model {config['model']!r}; choose from {sorted(MODELS)}")
+    for key, low in (("trials", 1), ("threads", 1), ("grid", 2), ("seed", 0)):
+        if not _is_int(config[key]) or config[key] < low:
+            raise UsageError(f"{key} must be an integer >= {low}, got {config[key]!r}")
+    if config["seed"] >= 1 << 64:
+        raise UsageError("seed must fit in 64 bits")
+    if not _is_int(config["sign_choice"]) or config["sign_choice"] not in (1, -1):
+        raise UsageError("sign_choice must be +1 or -1")
+    if not isinstance(config["output"], str) or not config["output"]:
+        raise UsageError("output must be a non-empty path prefix")
+    axes = config["axes"]
+    if not isinstance(axes, list) or not axes:
+        raise UsageError("axes must be a non-empty list of quadruples")
+    for quad in axes:
+        if not isinstance(quad, list) or len(quad) != 4:
+            raise UsageError("each axes entry must be a quadruple")
+        if not all(_is_angle(t) for t in quad):
+            raise UsageError(f"axes must be finite numbers, got {quad!r}")
+
+
 def load_config(args) -> dict:
-    config = {
-        "model": "quantum",
-        "axes": [list(OPTIMAL_AXES)],
-        "trials": 100_000,
-        "seed": 1,
-        "sign_choice": 1,
-        "output": "bellfoundry_run",
-        "threads": 1,
-        "grid": 16,
-    }
+    config = copy.deepcopy(CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
-                config.update(json.load(fh))
+                from_file = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config: {exc}") from exc
+        if not isinstance(from_file, dict):
+            raise UsageError("config file must hold a JSON object")
+        unknown = sorted(set(from_file) - set(CONFIG_DEFAULTS))
+        if unknown:
+            raise UsageError(f"unknown config keys {unknown}; known keys are {sorted(CONFIG_DEFAULTS)}")
+        config.update(from_file)
     if getattr(args, "model", None):
         config["model"] = args.model
     if getattr(args, "axes", None):
@@ -91,22 +135,46 @@ def load_config(args) -> dict:
             config["threads"] = int(env_threads)
         except ValueError as exc:
             raise UsageError(f"bad BELLFOUNDRY_THREADS: {exc}") from exc
-    if config["model"] not in MODELS:
-        raise UsageError(f"unknown model {config['model']!r}; choose from {sorted(MODELS)}")
-    if config["trials"] < 1:
-        raise UsageError("trials must be >= 1")
-    if not 0 <= config["seed"] < 1 << 64:
-        raise UsageError("seed must fit in 64 bits")
-    if config["sign_choice"] not in (1, -1):
-        raise UsageError("sign_choice must be +1 or -1")
-    for quad in config["axes"]:
-        if len(quad) != 4:
-            raise UsageError("each axes entry must be a quadruple")
+    _validate_config(config)
     return config
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _write_report_files(out: str, count_rows, summary_rows, report: dict) -> None:
+    """Write the three report files whole or not at all.
+
+    Each file goes to a temporary name beside its target; only when all
+    three are written are they moved into place with ``os.replace``.
+    """
+    def write_csv(header, rows):
+        return lambda fh: fh.write(header + "".join(",".join(row) + "\n" for row in rows))
+
+    def write_json(fh):
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    writers = (
+        ("_counts.csv", write_csv("run_id,theta_a,theta_b,a1,b2,count,freq\n", count_rows)),
+        ("_summary.csv", write_csv("pair_id,E,std_error\n", summary_rows)),
+        ("_report.json", write_json),
+    )
+    moves = []
+    try:
+        for suffix, write in writers:
+            target = f"{out}{suffix}"
+            temp = f"{target}.{uuid.uuid4().hex}.tmp"
+            with open(temp, "x") as fh:
+                moves.append((temp, target))
+                write(fh)
+        for temp, target in moves:
+            os.replace(temp, target)
+    finally:
+        for temp, _ in moves:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def run_simulate(config: dict) -> dict:
@@ -182,18 +250,7 @@ def run_simulate(config: dict) -> dict:
         "sign_choice": sign,
         "runs": report_runs,
     }
-    out = config["output"]
-    with open(f"{out}_counts.csv", "w") as fh:
-        fh.write("run_id,theta_a,theta_b,a1,b2,count,freq\n")
-        for row in count_rows:
-            fh.write(",".join(row) + "\n")
-    with open(f"{out}_summary.csv", "w") as fh:
-        fh.write("pair_id,E,std_error\n")
-        for row in summary_rows:
-            fh.write(",".join(row) + "\n")
-    with open(f"{out}_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_report_files(config["output"], count_rows, summary_rows, report)
     return report
 
 

@@ -1,9 +1,10 @@
 """Seeded, thread-count-independent experiment execution.
 
 Trials are split into fixed-size batches; batch k of logical stream s
-draws from the Philox substream keyed by (seed, s, k).  Batch results are
-integer PairCounts, whose merge is exact and associative, so the final
-tallies are identical for any number of worker threads.
+draws from the Philox substream keyed by (seed, s, k).  Each worker
+thread runs one contiguous range of batches on a re-keyed generator and
+sums their integer counts; the merge is exact and associative, so the
+final tallies are identical for any number of worker threads.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import numpy as np
 
 from . import model1, model2
 from .geometry import Axis, PairCounts
-from .lhv import DeterministicSignModel, sample_model_counts, sign_model_expectation_analytic
+from .lhv import sample_sign_model_counts, sign_model_expectation_analytic
 from .model1 import model1_expectation_analytic
 from .quantum import sample_singlet_counts, singlet_expectation
-from .rng import batch_sizes, substream
+from .rng import BATCH_SIZE, batch_streams
 
 CountSampler = Callable[[np.random.Generator, Axis, Axis, int], PairCounts]
 
@@ -34,13 +35,9 @@ class ModelRunner:
     analytic_expectation: Optional[Callable[[Axis, Axis], float]]
 
 
-def _sign_lhv_counts(rng, a, b, n):
-    return sample_model_counts(DeterministicSignModel(), a, b, n, rng)
-
-
 MODELS = {
     "quantum": ModelRunner("quantum", sample_singlet_counts, singlet_expectation),
-    "sign-lhv": ModelRunner("sign-lhv", _sign_lhv_counts, sign_model_expectation_analytic),
+    "sign-lhv": ModelRunner("sign-lhv", sample_sign_model_counts, sign_model_expectation_analytic),
     "model1": ModelRunner("model1", model1.sample_trial_counts, model1_expectation_analytic),
     # model2 reproduces the singlet law, so the quantum closed form applies
     "model2": ModelRunner("model2", model2.sample_trial_counts, singlet_expectation),
@@ -59,20 +56,31 @@ def run_pair_counts(
     """Accumulate trials for one axis pair over deterministic batches."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sizes = batch_sizes(trials)
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    n_batches = -(-trials // BATCH_SIZE)
+    workers = min(threads, n_batches)
 
-    def one_batch(k_size):
-        k, size = k_size
-        return runner.sample_counts(substream(seed, stream, k), a, b, size)
+    def run_range(batches: range) -> PairCounts:
+        n_pp = n_pm = n_mp = n_mm = 0
+        for k, rng in batch_streams(seed, stream, batches):
+            size = min(BATCH_SIZE, trials - k * BATCH_SIZE)
+            counts = runner.sample_counts(rng, a, b, size)
+            n_pp += counts.n_pp
+            n_pm += counts.n_pm
+            n_mp += counts.n_mp
+            n_mm += counts.n_mm
+        return PairCounts(n_pp, n_pm, n_mp, n_mm)
 
-    if threads <= 1 or len(sizes) == 1:
-        batches = map(one_batch, enumerate(sizes))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batches = list(pool.map(one_batch, enumerate(sizes)))
+    if workers == 1:
+        return run_range(range(n_batches))
+    # worker w runs batches [w * n_batches // workers, (w + 1) * n_batches // workers)
+    bounds = [w * n_batches // workers for w in range(workers + 1)]
+    ranges = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     total = PairCounts(0, 0, 0, 0)
-    for counts in batches:
-        total = total + counts
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for counts in pool.map(run_range, ranges):
+            total = total + counts
     return total
 
 

@@ -133,14 +133,49 @@ class PairCounts:
 
 
 def counts_from_signs(s1: np.ndarray, s2: np.ndarray) -> PairCounts:
-    """Tally arrays of +-1 outcome signs into PairCounts."""
-    p1 = s1 > 0
-    p2 = s2 > 0
+    """Tally arrays of +-1 outcome signs, or boolean "+" masks, into PairCounts."""
+    p1 = s1 if s1.dtype == bool else s1 > 0
+    p2 = s2 if s2.dtype == bool else s2 > 0
     n_pp = int(np.count_nonzero(p1 & p2))
-    n_pm = int(np.count_nonzero(p1 & ~p2))
-    n_mp = int(np.count_nonzero(~p1 & p2))
-    n_mm = int(np.count_nonzero(~p1 & ~p2))
-    return PairCounts(n_pp, n_pm, n_mp, n_mm)
+    n_p1 = int(np.count_nonzero(p1))
+    n_p2 = int(np.count_nonzero(p2))
+    return PairCounts(n_pp, n_p1 - n_pp, n_p2 - n_pp, p1.size - n_p1 - n_p2 + n_pp)
+
+
+def sample_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n points uniform on the unit sphere (normalized Gaussians).
+
+    Bitwise equal to ``v / np.linalg.norm(v, axis=1, keepdims=True)``: the
+    squares are summed in the same left-to-right order, without the
+    general norm's overhead.
+    """
+    v = rng.standard_normal((n, 3))
+    sq = v * v
+    norm = sq[:, 0] + sq[:, 1]
+    norm += sq[:, 2]
+    np.sqrt(norm, out=norm)
+    return np.divide(v, norm[:, None], out=sq)
+
+
+def hemisphere_pair_signs(
+    rng: np.random.Generator,
+    a_unit: np.ndarray,
+    p_plus_if_plus: float,
+    p_plus_if_minus: float,
+    n: int,
+) -> tuple:
+    """Boolean "+" masks of n two-particle trials, the first a hemisphere outcome along a.
+
+    The first outcome is the hemisphere of a uniform unit vector along
+    ``a_unit`` (boundary counts as +); the second is + with probability
+    ``p_plus_if_plus`` or ``p_plus_if_minus`` given the first.  Both EPR
+    models share this law and its RNG consumption: the sphere draw, then
+    one uniform per trial.
+    """
+    plus1 = sample_unit_vectors(rng, n) @ a_unit >= 0.0
+    u = rng.random(n)
+    plus2 = np.where(plus1, u < p_plus_if_plus, u < p_plus_if_minus)
+    return plus1, plus2
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,21 @@ def sample_model_counts(
     return counts_from_signs(s1, s2)
 
 
+def sample_sign_model_counts(
+    rng: np.random.Generator, a: Axis, b: Axis, n: int
+) -> PairCounts:
+    """Batch kernel for DeterministicSignModel: n trials from one draw of lam.
+
+    Equal in outcomes to ``sample_model_counts(DeterministicSignModel(), ...)``
+    on the same stream, but it skips that path's two per-trial uniforms:
+    they are compared with 0/1 responses and can never change an outcome.
+    It therefore consumes less of the stream, so use it only where each
+    call has a stream of its own, as engine batches do.
+    """
+    lam = rng.uniform(0.0, TAU, size=n)
+    return counts_from_signs(np.cos(lam - a.theta) >= 0.0, np.cos(lam - b.theta) < 0.0)
+
+
 def model_expectation(
     model: HVModel, a: Axis, b: Axis, n: int, rng: np.random.Generator
 ) -> ExpectationEstimate:

@@ -24,7 +24,9 @@ from .geometry import (
     PairCounts,
     V_MAX,
     counts_from_signs,
+    hemisphere_pair_signs,
     outcome_from_sign,
+    sample_unit_vectors,
     wrap_delta,
 )
 
@@ -81,15 +83,9 @@ class PairConfiguration:
             raise ValueError("angular momenta must sum to zero")
 
 
-def _sample_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n points uniform on the unit sphere (normalized Gaussians)."""
-    v = rng.standard_normal((n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def sample_pair(rng: np.random.Generator) -> PairConfiguration:
     """Draw one pair: J1 uniform on the sphere, J2 = -J1."""
-    j1 = _sample_unit_vectors(rng, 1)[0]
+    j1 = sample_unit_vectors(rng, 1)[0]
     return PairConfiguration(AngularMomentum(j1), AngularMomentum(-j1))
 
 
@@ -149,15 +145,14 @@ def sample_trial_counts(
     """Vectorized batch of epr_trial outcomes tallied into PairCounts."""
     if first_particle not in (1, 2):
         raise ValueError("first_particle must be 1 or 2")
-    j = _sample_unit_vectors(rng, n)
-    s1 = np.where(j @ a.unit_vector >= 0.0, 1, -1)
     # partner ensemble is hemisphere(a, -s1): P(+) = (1 - s1 * cos d) / 2
-    d = wrap_delta(a, b)
-    p_plus = (1.0 - s1 * math.cos(d)) / 2.0
-    s2 = np.where(rng.random(n) < p_plus, 1, -1)
+    cos_d = math.cos(wrap_delta(a, b))
+    plus1, plus2 = hemisphere_pair_signs(
+        rng, a.unit_vector, (1.0 - cos_d) / 2.0, (1.0 + cos_d) / 2.0, n
+    )
     if first_particle == 1:
-        return counts_from_signs(s1, s2)
-    return counts_from_signs(s2, s1)
+        return counts_from_signs(plus1, plus2)
+    return counts_from_signs(plus2, plus1)
 
 
 def model1_expectation_analytic(a: Axis, b: Axis) -> float:
@@ -185,7 +180,7 @@ def sample_pointwise_rule_counts(
     The first sign is the a-hemisphere membership (always +, by
     construction), the second is sign(J.b); only the second is physical.
     """
-    j = _sample_unit_vectors(rng, n)
+    j = sample_unit_vectors(rng, n)
     j = np.where((j @ a.unit_vector >= 0.0)[:, None], j, -j)  # restrict to +a
     s_b = np.where(j @ b.unit_vector >= 0.0, 1, -1)
     return counts_from_signs(np.ones(n, dtype=int), s_b)

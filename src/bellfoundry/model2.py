@@ -31,7 +31,9 @@ from .geometry import (
     Outcome,
     PairCounts,
     counts_from_signs,
+    hemisphere_pair_signs,
     outcome_from_sign,
+    sample_unit_vectors,
     wrap_delta,
 )
 
@@ -232,11 +234,6 @@ def conditional_inference(
     return measure_prob_single(Hemisphere(f.label_axis, -a1.sign), b)
 
 
-def _sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal((n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def epr_trial_model2(rng: np.random.Generator, first_axis: Axis, second_axis: Axis) -> tuple:
     """One two-particle trial using the representative labeled by first_axis.
 
@@ -245,7 +242,7 @@ def epr_trial_model2(rng: np.random.Generator, first_axis: Axis, second_axis: Ax
     conditional single-subsystem law.
     """
     f = TwoPartyField(first_axis)
-    r1 = _sample_sphere(rng, 1)[0]
+    r1 = sample_unit_vectors(rng, 1)[0]
     s1 = 1 if float(r1 @ first_axis.unit_vector) >= 0.0 else -1
     p_plus, _ = conditional_inference(f, first_axis, outcome_from_sign(s1), second_axis)
     s2 = 1 if rng.random() < p_plus else -1
@@ -256,13 +253,12 @@ def sample_trial_counts(
     rng: np.random.Generator, first_axis: Axis, second_axis: Axis, n: int
 ) -> PairCounts:
     """Vectorized batch of epr_trial_model2 outcomes."""
-    r1 = _sample_sphere(rng, n)
-    s1 = np.where(r1 @ first_axis.unit_vector >= 0.0, 1, -1)
     half = wrap_delta(first_axis, second_axis) / 2.0
-    # partner field is Hemisphere(a, -s1): P(+) = cos^2 for s1=-1, sin^2 for s1=+1
-    p_plus = np.where(s1 > 0, math.sin(half) ** 2, math.cos(half) ** 2)
-    s2 = np.where(rng.random(n) < p_plus, 1, -1)
-    return counts_from_signs(s1, s2)
+    # partner field is Hemisphere(a, -s1): P(+) = sin^2 for s1=+1, cos^2 for s1=-1
+    plus1, plus2 = hemisphere_pair_signs(
+        rng, first_axis.unit_vector, math.sin(half) ** 2, math.cos(half) ** 2, n
+    )
+    return counts_from_signs(plus1, plus2)
 
 
 @dataclass(frozen=True)
@@ -275,7 +271,7 @@ class SphereState:
 
 def prepare_sphere(rng: np.random.Generator, field: Hemisphere) -> SphereState:
     """Particle placed uniformly inside the field's support."""
-    r = _sample_sphere(rng, 1)[0]
+    r = sample_unit_vectors(rng, 1)[0]
     if not field.contains(r):
         r = -r
     return SphereState(field=field, particle=r)

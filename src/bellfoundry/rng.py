@@ -17,22 +17,46 @@ import numpy as np
 BATCH_SIZE = 1 << 16
 
 
-def substream(seed: int, stream: int = 0, batch: int = 0) -> np.random.Generator:
-    """Independent Philox stream for (seed, stream, batch)."""
+def _check_key(seed: int, stream: int, *batches: int) -> None:
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed must fit in 64 bits")
-    if not 0 <= stream < 1 << 32 or not 0 <= batch < 1 << 32:
+    if not 0 <= stream < 1 << 32 or not all(0 <= k < 1 << 32 for k in batches):
         raise ValueError("stream and batch must fit in 32 bits")
-    key = np.array([seed, (stream << 32) | batch], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
-def batch_sizes(n: int) -> list:
-    """Split n trials into BATCH_SIZE chunks (last one ragged)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    full, rest = divmod(n, BATCH_SIZE)
-    sizes = [BATCH_SIZE] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
+def _key(seed: int, stream: int, batch: int) -> np.ndarray:
+    return np.array([seed, (stream << 32) | batch], dtype=np.uint64)
+
+
+def substream(seed: int, stream: int = 0, batch: int = 0) -> np.random.Generator:
+    """Independent Philox stream for (seed, stream, batch)."""
+    _check_key(seed, stream, batch)
+    return np.random.Generator(np.random.Philox(key=_key(seed, stream, batch)))
+
+
+def batch_streams(seed: int, stream: int, batches: range):
+    """Yield (k, generator) for each batch k, drawing exactly as substream(seed, stream, k).
+
+    One Philox is built up front and re-keyed in place for each batch
+    (key, counter 0, empty buffer), which skips the per-generator set-up
+    cost of ``substream``.  The generator is reused: finish drawing from
+    it before advancing the iterator.
+    """
+    _check_key(seed, stream, *batches[:1], *batches[-1:])  # a range's extremes
+    bit_generator = np.random.Philox(key=_key(seed, stream, 0))
+    generator = np.random.Generator(bit_generator)
+    zeros = np.zeros(4, dtype=np.uint64)  # the setter copies, so one array serves
+
+    def streams():
+        for k in batches:
+            bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": zeros, "key": _key(seed, stream, k)},
+                "buffer": zeros,
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield k, generator
+
+    return streams()

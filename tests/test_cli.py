@@ -12,11 +12,13 @@ from bellfoundry.cli import (
     load_config,
     main,
     run_scan,
+    run_simulate,
     run_verify,
 )
 from bellfoundry.engine import MODELS, run_pair_counts
 from bellfoundry.geometry import Axis, empirical_expectation
 from bellfoundry.quantum import singlet_expectation
+from bellfoundry.rng import BATCH_SIZE
 
 
 # Exact stdout at seed 1; any change to a printed value must update these.
@@ -157,6 +159,71 @@ class TestConfig:
             load_config(args)
 
 
+def _run_with_config(tmp_path, capsys, config):
+    """Exit code and stderr of simulate with a config file; a traceback fails the test."""
+    if isinstance(config, dict):
+        config = json.dumps({"output": str(tmp_path / "run"), "trials": 10, **config})
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    rc = main(["simulate", "--config", str(path)])
+    return rc, capsys.readouterr().err
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"trials": "100"}, "trials"),
+            ({"trials": 1.5}, "trials"),
+            ({"trials": True}, "trials"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 1 << 64}, "seed"),
+            ({"seed": False}, "seed"),
+            ({"trails": 100}, "unknown config keys ['trails']"),
+            ({"threads": 0}, "threads"),
+            ({"threads": -2}, "threads"),
+            ({"threads": "2"}, "threads"),
+            ({"sign_choice": True}, "sign_choice"),
+            ({"model": ["quantum"]}, "unknown model"),
+            ({"output": 7}, "output"),
+            ({"grid": 1}, "grid"),
+            ({"axes": []}, "axes"),
+            ({"axes": [0, 1, 2, 3]}, "quadruple"),
+            ({"axes": [[0, 1, 2]]}, "quadruple"),
+            ({"axes": [[0, 1, 2, "3"]]}, "finite"),
+            ({"axes": [[0, 1, 2, True]]}, "finite"),
+            ('{"axes": [[0, 1, 2, NaN]]}', "finite"),
+            ('{"axes": [[0, 1, 2, Infinity]]}', "finite"),
+            ("[1, 2]", "JSON object"),
+        ],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, config, message):
+        rc, err = _run_with_config(tmp_path, capsys, config)
+        assert rc == 2
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "run_report.json").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_env_threads_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("BELLFOUNDRY_THREADS", value)
+        rc, err = _run_with_config(tmp_path, capsys, {})
+        assert rc == 2
+        assert err.startswith("error: threads")
+
+    def test_negative_threads_flag(self):
+        args = build_parser().parse_args(["simulate", "--threads", "-1"])
+        with pytest.raises(UsageError, match="threads"):
+            load_config(args)
+
+    def test_integer_axes_are_kept_as_given(self, tmp_path, capsys):
+        rc, _ = _run_with_config(tmp_path, capsys, {"axes": [[0, 1, 2.5, 3]], "seed": 0})
+        assert rc == 0
+        report = json.loads((tmp_path / "run_report.json").read_text())
+        assert report["runs"][0]["axes"] == [0, 1, 2.5, 3]
+        assert report["seed"] == 0
+
+
 class TestSimulate:
     def test_writes_three_files_and_reports(self, tmp_path, capsys):
         rc = main(_simulate_args(tmp_path))
@@ -223,6 +290,42 @@ class TestSimulate:
         assert [run["run_id"] for run in report["runs"]] == [0, 1]
 
 
+class TestAtomicReports:
+    def _config(self, tmp_path):
+        args = build_parser().parse_args(
+            ["simulate", "--trials", "100", "--out", str(tmp_path / "run")]
+        )
+        return load_config(args)
+
+    def test_only_the_three_files_remain(self, tmp_path):
+        run_simulate(self._config(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"run{suffix}" for suffix in sorted(REPORT_SUFFIXES)
+        ]
+
+    def test_failed_write_leaves_no_report_and_no_temp_file(self, tmp_path, monkeypatch):
+        def broken_dump(*args, **kwargs):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", broken_dump)
+        with pytest.raises(RuntimeError):
+            run_simulate(self._config(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_previous_report(self, tmp_path, monkeypatch):
+        config = self._config(tmp_path)
+        run_simulate(config)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def broken_dump(*args, **kwargs):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", broken_dump)
+        with pytest.raises(RuntimeError):
+            run_simulate({**config, "seed": 2})
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 class TestGoldenReports:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("model", sorted(GOLDEN_REPORT_SHA256))
@@ -246,6 +349,19 @@ class TestEngine:
             c1 = run_pair_counts(MODELS[name], a, b, 70_000, 5, 0, 1)
             c4 = run_pair_counts(MODELS[name], a, b, 70_000, 5, 0, 4)
             assert (c1.n_pp, c1.n_pm, c1.n_mp, c1.n_mm) == (c4.n_pp, c4.n_pm, c4.n_mp, c4.n_mm)
+
+    @pytest.mark.parametrize("trials", [1, 2 * BATCH_SIZE + 1, 7 * BATCH_SIZE + 3])
+    def test_counts_equal_for_any_worker_split(self, trials):
+        # 1 and 3 batches leave some of the 5 threads without work
+        a, b = Axis(0.4), Axis(2.2)
+        for name in MODELS:
+            counts = {t: run_pair_counts(MODELS[name], a, b, trials, 8, 1, t) for t in (1, 2, 3, 5)}
+            assert len(set(counts.values())) == 1, name
+            assert counts[1].total == trials
+
+    def test_rejects_nonpositive_threads(self):
+        with pytest.raises(ValueError):
+            run_pair_counts(MODELS["quantum"], Axis(0.0), Axis(1.0), 10, 1, 0, 0)
 
     def test_every_model_reproduces_its_law(self):
         a, b = Axis(0.0), Axis(math.pi / 4)

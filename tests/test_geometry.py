@@ -12,6 +12,7 @@ from bellfoundry.geometry import (
     V_MAX,
     counts_from_signs,
     empirical_expectation,
+    sample_unit_vectors,
     wrap_delta,
 )
 from bellfoundry.quantum import sample_singlet_counts, singlet_expectation
@@ -123,6 +124,12 @@ class TestPairCounts:
         counts = counts_from_signs(s1, s2)
         assert (counts.n_pp, counts.n_pm, counts.n_mp, counts.n_mm) == (2, 1, 1, 1)
 
+    def test_counts_from_masks_equal_counts_from_signs(self):
+        signs = np.where(substream(12).random((2, 999)) < 0.4, 1, -1)
+        from_signs = counts_from_signs(signs[0], signs[1])
+        assert counts_from_signs(signs[0] > 0, signs[1] > 0) == from_signs
+        assert from_signs.total == 999
+
     def test_singlet_sampling_matches_law(self):
         rng = substream(11)
         a, b = Axis(0.0), Axis(math.pi / 4)
@@ -130,3 +137,17 @@ class TestPairCounts:
         est = empirical_expectation(counts)
         target = singlet_expectation(a, b)
         assert abs(est.value - target) < 5 * est.std_error
+
+
+class TestSampleUnitVectors:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2027, 90210])
+    def test_bitwise_equal_to_norm_route(self, seed):
+        v = substream(seed, 3).standard_normal((65_537, 3))
+        expected = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert np.array_equal(sample_unit_vectors(substream(seed, 3), 65_537), expected)
+
+    def test_single_vector(self):
+        v = substream(5).standard_normal((1, 3))
+        assert np.array_equal(
+            sample_unit_vectors(substream(5), 1), v / np.linalg.norm(v, axis=1, keepdims=True)
+        )

@@ -15,6 +15,7 @@ from bellfoundry.lhv import (
     model_expectation,
     quantum_wigner_violation,
     sample_model_counts,
+    sample_sign_model_counts,
     sign_model_expectation_analytic,
     stochastic_defect,
     vertex_distributions,
@@ -32,6 +33,16 @@ OPTIMAL = [Axis(0.0), Axis(math.pi / 2), Axis(math.pi / 4), Axis(3 * math.pi / 4
 
 
 class TestDeterministicSignModel:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_batch_kernel_equals_generic_sampler(self, seed):
+        model = DeterministicSignModel()
+        pairs = [(0.0, 0.0), (0.3, 1.1), (5.9, 4.2), (0.0, math.pi), (1.0, 1.0 + math.pi / 2)]
+        for k, (ta, tb) in enumerate(pairs):
+            for n in (1, 1000, 65_536):
+                a, b = Axis(ta), Axis(tb)
+                fast = sample_sign_model_counts(substream(seed, 20, k), a, b, n)
+                assert fast == sample_model_counts(model, a, b, n, substream(seed, 20, k))
+
     def test_responses_are_zero_one(self):
         model = DeterministicSignModel()
         lam = substream(31).uniform(0, 2 * math.pi, 1000)

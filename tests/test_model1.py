@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellfoundry.geometry import Axis, empirical_expectation
+from bellfoundry.geometry import Axis, counts_from_signs, empirical_expectation, wrap_delta
 from bellfoundry.model1 import (
     AngularMomentum,
     PairConfiguration,
@@ -81,7 +81,29 @@ class TestEnsembleLaw:
         assert label.sign == outcome.sign
 
 
+REFERENCE_PAIRS = [(0.0, 0.0), (0.3, 1.1), (5.9, 4.2), (0.0, math.pi), (2.0, 2.0 + math.pi / 2)]
+
+
+def reference_trial_counts(rng, a, b, n, first_particle=1):
+    """The batch law written out with +-1 sign arrays and a per-trial threshold array."""
+    j = rng.standard_normal((n, 3))
+    j = j / np.linalg.norm(j, axis=1, keepdims=True)
+    s1 = np.where(j @ a.unit_vector >= 0.0, 1, -1)
+    p_plus = (1.0 - s1 * math.cos(wrap_delta(a, b))) / 2.0
+    s2 = np.where(rng.random(n) < p_plus, 1, -1)
+    return counts_from_signs(s1, s2) if first_particle == 1 else counts_from_signs(s2, s1)
+
+
 class TestEprTrials:
+    @pytest.mark.parametrize("first_particle", [1, 2])
+    def test_batch_equals_reference_law(self, first_particle):
+        for k, (ta, tb) in enumerate(REFERENCE_PAIRS):
+            for n in (1, 999, 65_536):
+                a, b = Axis(ta), Axis(tb)
+                got = sample_trial_counts(substream(61, k), a, b, n, first_particle)
+                expected = reference_trial_counts(substream(61, k), a, b, n, first_particle)
+                assert got == expected
+
     def test_same_axis_perfectly_anticorrelated(self):
         a = Axis(0.9)
         counts = sample_trial_counts(substream(54), a, a, 50_000)

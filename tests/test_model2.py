@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from bellfoundry.geometry import Axis, MINUS, PLUS, empirical_expectation
+from bellfoundry.geometry import (
+    Axis,
+    MINUS,
+    PLUS,
+    counts_from_signs,
+    empirical_expectation,
+    wrap_delta,
+)
 from bellfoundry.model2 import (
     FieldSuperposition,
     HemiField,
@@ -169,7 +176,28 @@ class TestTwoPartyField:
             conditional_inference(f, Axis(0.3), PLUS, Axis(1.0))
 
 
+REFERENCE_PAIRS = [(0.0, 0.0), (0.3, 1.1), (5.9, 4.2), (0.0, math.pi), (2.0, 2.0 + math.pi / 2)]
+
+
+def reference_trial_counts(rng, a, b, n):
+    """The batch law written out with +-1 sign arrays and a per-trial threshold array."""
+    r1 = rng.standard_normal((n, 3))
+    r1 = r1 / np.linalg.norm(r1, axis=1, keepdims=True)
+    s1 = np.where(r1 @ a.unit_vector >= 0.0, 1, -1)
+    half = wrap_delta(a, b) / 2.0
+    p_plus = np.where(s1 > 0, math.sin(half) ** 2, math.cos(half) ** 2)
+    s2 = np.where(rng.random(n) < p_plus, 1, -1)
+    return counts_from_signs(s1, s2)
+
+
 class TestEprTrials:
+    def test_batch_equals_reference_law(self):
+        for k, (ta, tb) in enumerate(REFERENCE_PAIRS):
+            for n in (1, 999, 65_536):
+                a, b = Axis(ta), Axis(tb)
+                got = sample_trial_counts(substream(82, k), a, b, n)
+                assert got == reference_trial_counts(substream(82, k), a, b, n)
+
     def test_same_axis_anticorrelated(self):
         a = Axis(1.4)
         counts = sample_trial_counts(substream(77), a, a, 50_000)
