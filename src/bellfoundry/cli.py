@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-import uuid
 
 import numpy as np
 
@@ -165,7 +164,7 @@ def _write_report_files(out: str, count_rows, summary_rows, report: dict) -> Non
     try:
         for suffix, write in writers:
             target = f"{out}{suffix}"
-            temp = f"{target}.{uuid.uuid4().hex}.tmp"
+            temp = f"{target}.{os.urandom(8).hex()}.tmp"
             with open(temp, "x") as fh:
                 moves.append((temp, target))
                 write(fh)
