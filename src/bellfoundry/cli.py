@@ -146,7 +146,8 @@ def _write_report_files(out: str, count_rows, summary_rows, report: dict) -> Non
     """Write the three report files whole or not at all.
 
     Each file goes to a temporary name beside its target; only when all
-    three are written are they moved into place with ``os.replace``.
+    three are written are they moved into place with ``os.replace``, so
+    a failed write leaves the previous files and no temporary file.
     """
     def write_csv(header, rows):
         return lambda fh: fh.write(header + "".join(",".join(row) + "\n" for row in rows))
