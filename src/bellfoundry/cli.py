@@ -20,6 +20,7 @@ import time
 
 import numpy as np
 
+from . import oracles
 from .engine import MODELS, chsh_std_error, run_pair_counts
 from .geometry import Axis, BELL_BOUND, TSIRELSON_BOUND, empirical_expectation
 from .lhv import (
@@ -34,7 +35,7 @@ from .lhv import (
     vertex_distributions,
     wigner_inequality_check,
 )
-from .quantum import chsh_norm_grid, identity_residual_scan, singlet_expectation
+from .quantum import chsh_norm_grid, chsh_operator, identity_residual_scan, singlet_expectation
 from .rng import substream
 
 PAIR_LABELS = ("ab", "ab'", "a'b", "a'b'")
@@ -74,7 +75,10 @@ def _is_int(value) -> bool:
 
 
 def _is_angle(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _validate_config(config: dict) -> None:
@@ -254,38 +258,18 @@ def run_simulate(config: dict) -> dict:
     return report
 
 
-def run_scan(model: str, grid_resolution: int, trials: int, seed: int, threads: int = 1):
+def run_scan(model: str, grid_resolution: int):
     """Grid-search the CHSH combination over coplanar quadruples with a = 0.
 
-    Analytic-capable models are scanned with their closed forms; otherwise
-    the pair expectations are estimated once by Monte Carlo and reused.
-    Returns (axes quadruple, sign, best value).
+    Every pair expectation comes from the model's closed form.  Returns
+    (axes quadruple, sign, best value).
     """
     if grid_resolution < 2:
         raise ValueError("grid resolution must be >= 2")
-    runner = MODELS[model]
+    expectation = MODELS[model].analytic_expectation
     thetas = np.arange(grid_resolution) * (2.0 * math.pi / grid_resolution)
-    if runner.analytic_expectation is not None:
-        e0 = np.array([runner.analytic_expectation(Axis(0.0), Axis(t)) for t in thetas])
-        e1 = np.array(
-            [
-                [runner.analytic_expectation(Axis(ta), Axis(tb)) for tb in thetas]
-                for ta in thetas
-            ]
-        )
-    else:
-        e0 = np.empty(grid_resolution)
-        e1 = np.empty((grid_resolution, grid_resolution))
-        stream = 0
-        for j, tb in enumerate(thetas):
-            counts = run_pair_counts(runner, Axis(0.0), Axis(tb), trials, seed, stream, threads)
-            e0[j] = empirical_expectation(counts).value
-            stream += 1
-        for i, ta in enumerate(thetas):
-            for j, tb in enumerate(thetas):
-                counts = run_pair_counts(runner, Axis(ta), Axis(tb), trials, seed, stream, threads)
-                e1[i, j] = empirical_expectation(counts).value
-                stream += 1
+    e1 = np.array([[expectation(Axis(ta), Axis(tb)) for tb in thetas] for ta in thetas])
+    e0 = e1[0]  # thetas[0] == 0.0, so this row is E(0, b)
     best_value = -math.inf
     best = None
     values = np.empty((grid_resolution,) * 3)
@@ -420,38 +404,19 @@ def run_verify(suite: str, seed: int) -> tuple:
 def run_oracle(seed: int) -> list:
     """Brute-force oracles behind the derived expected values, printed plainly."""
     lines = []
-    # singlet expectation at d = pi/4 from the joint law cells
-    d = math.pi / 4.0
-    cells = {
-        (0.5, 0.5): 0.5 * math.sin(d / 2.0) ** 2,
-        (0.5, -0.5): 0.5 * math.cos(d / 2.0) ** 2,
-        (-0.5, 0.5): 0.5 * math.cos(d / 2.0) ** 2,
-        (-0.5, -0.5): 0.5 * math.sin(d / 2.0) ** 2,
-    }
-    e = sum(a * b * p for (a, b), p in cells.items())
+    e = oracles.singlet_expectation_from_cells(math.pi / 4.0)
     lines.append(f"oracle=singlet_expectation_pi_over_4 value={e!r}")
     # spectral norm of the optimal CHSH operator via numpy, straight from its entries
-    from .quantum import chsh_operator
-
     axes = [Axis(t) for t in OPTIMAL_AXES]
     op = chsh_operator(axes[0], axes[1], axes[2], axes[3], 1)
     norm = float(np.abs(np.linalg.eigvalsh(op.entries)).max())
     lines.append(f"oracle=chsh_operator_norm_numpy value={norm!r}")
-    # half-circle overlap measure for (+a, +b) at d = pi/2 by angular quadrature
-    lam = (np.arange(2_000_000) + 0.5) * (2.0 * math.pi / 2_000_000)
-    inside = (np.cos(lam) >= 0.0) & (np.cos(lam - math.pi / 2.0) >= 0.0)
-    lines.append(f"oracle=wigner_overlap_quadrature_pi_over_2 value={float(inside.mean())!r}")
-    # sign-model expectation at d = pi/2 and pi/4 by the same quadrature
-    for dd in (math.pi / 2.0, math.pi / 4.0):
-        s1 = np.where(np.cos(lam) >= 0.0, 1, -1)
-        s2 = -np.where(np.cos(lam - dd) >= 0.0, 1, -1)
-        lines.append(
-            f"oracle=sign_model_quadrature_d={dd:.6f} value={float((s1 * s2).mean()) / 4.0!r}"
-        )
-    # mean projection over a hemisphere at offset pi/3 by surface quadrature
-    from .oracles import hemi_average_quadrature
-
-    value = hemi_average_quadrature(math.pi / 3.0)
+    overlap = oracles.half_circle_overlap_quadrature(0.0, math.pi / 2.0)
+    lines.append(f"oracle=wigner_overlap_quadrature_pi_over_2 value={overlap!r}")
+    for d in (math.pi / 2.0, math.pi / 4.0):
+        value = oracles.sign_model_expectation_quadrature(d)
+        lines.append(f"oracle=sign_model_quadrature_d={d:.6f} value={value!r}")
+    value = oracles.hemi_average_quadrature(math.pi / 3.0)
     lines.append(f"oracle=hemi_average_quadrature_pi_over_3 value={value!r}")
     # max of the joint-distribution CHSH over the 16 deterministic vertices
     worst = max(joint_distribution_chsh(f) for _, f in vertex_distributions())
@@ -480,15 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sign", choices=["+", "-"])
     sim.add_argument("--out", help="output file prefix")
     sim.add_argument("--threads", type=int)
-    sim.add_argument("--grid", type=int, help=argparse.SUPPRESS)
 
     scan = sub.add_parser("scan", help="grid-search axes maximizing the CHSH combination")
     scan.add_argument("--config", help="JSON config file")
     scan.add_argument("--model", choices=sorted(MODELS))
     scan.add_argument("--grid", type=int, help="grid resolution per angle")
-    scan.add_argument("--trials", type=int)
-    scan.add_argument("--seed", type=int)
-    scan.add_argument("--threads", type=int)
 
     ver = sub.add_parser("verify", help="run an inequality verification suite")
     ver.add_argument("--suite", default="all", help="chsh|wigner|tsirelson|identity|stochastic-defect|all")
@@ -521,9 +482,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "scan":
             config = load_config(args)
-            axes, sign, value = run_scan(
-                config["model"], config["grid"], config["trials"], config["seed"], config["threads"]
-            )
+            axes, sign, value = run_scan(config["model"], config["grid"])
             print(
                 f"model={config['model']} best_axes={tuple(round(t, 10) for t in axes)} "
                 f"sign={'+' if sign > 0 else '-'} chsh={value:.10f} "

@@ -12,14 +12,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import model1, model2
 from .geometry import Axis, PairCounts
 from .lhv import sample_sign_model_counts, sign_model_expectation_analytic
-from .model1 import model1_expectation_analytic
 from .quantum import sample_singlet_counts, singlet_expectation
 from .rng import BATCH_SIZE, batch_streams
 
@@ -28,18 +27,18 @@ CountSampler = Callable[[np.random.Generator, Axis, Axis, int], PairCounts]
 
 @dataclass(frozen=True)
 class ModelRunner:
-    """A registered model: a vectorized trial sampler plus optional closed form."""
+    """A registered model: a vectorized trial sampler plus its closed form."""
 
     name: str
     sample_counts: CountSampler
-    analytic_expectation: Optional[Callable[[Axis, Axis], float]]
+    analytic_expectation: Callable[[Axis, Axis], float]
 
 
 MODELS = {
     "quantum": ModelRunner("quantum", sample_singlet_counts, singlet_expectation),
     "sign-lhv": ModelRunner("sign-lhv", sample_sign_model_counts, sign_model_expectation_analytic),
-    "model1": ModelRunner("model1", model1.sample_trial_counts, model1_expectation_analytic),
-    # model2 reproduces the singlet law, so the quantum closed form applies
+    # both EPR models reproduce the singlet law, so the quantum closed form applies
+    "model1": ModelRunner("model1", model1.sample_trial_counts, singlet_expectation),
     "model2": ModelRunner("model2", model2.sample_trial_counts, singlet_expectation),
 }
 

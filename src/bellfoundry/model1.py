@@ -155,11 +155,6 @@ def sample_trial_counts(
     return counts_from_signs(plus2, plus1)
 
 
-def model1_expectation_analytic(a: Axis, b: Axis) -> float:
-    """E(a, b) = -cos(theta_b - theta_a) / 4, the singlet result."""
-    return -V_MAX**2 * math.cos(wrap_delta(a, b))
-
-
 def pointwise_rule_expectation(a: Axis, b: Axis) -> float:
     """Outcome average if a fixed pointwise rule R_b = sign(J.b)/2 held.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Axis, Outcome, PairCounts, TSIRELSON_BOUND, V_MAX, wrap_delta
+from .geometry import Axis, Outcome, PairCounts, V_MAX, wrap_delta
 from .linalg import HERMITICITY_TOL, spectral_norm
 from .rng import substream
 
@@ -119,11 +119,6 @@ def operator_norm(h: HermitianOperator) -> float:
     return float(spectral_norm(h.entries))
 
 
-def operator_eigenvalues(h: HermitianOperator) -> np.ndarray:
-    """Ascending eigenvalues via ``np.linalg.eigvalsh``."""
-    return np.linalg.eigvalsh(h.entries)
-
-
 def _spin_batch(theta: np.ndarray) -> np.ndarray:
     """Real x-z spin operators, shape (..., 2, 2), entrywise equal to spin_operator."""
     c = 0.5 * np.cos(theta)
@@ -209,8 +204,3 @@ def identity_residual_scan(n_quadruples: int, seed: int) -> float:
     """Worst commutator-identity residual over random axis quadruples."""
     thetas = substream(seed, stream=9).uniform(0.0, 2.0 * math.pi, size=(n_quadruples, 4))
     return _identity_residual(thetas)
-
-
-def tsirelson_margin(norm: float) -> float:
-    """Signed margin of a CHSH operator norm below the quantum bound."""
-    return TSIRELSON_BOUND - norm

@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellfoundry import cli
 from bellfoundry.cli import (
+    CONFIG_DEFAULTS,
     OPTIMAL_AXES,
     UsageError,
     build_parser,
@@ -17,7 +21,6 @@ from bellfoundry.cli import (
 )
 from bellfoundry.engine import MODELS, run_pair_counts
 from bellfoundry.geometry import Axis, empirical_expectation
-from bellfoundry.quantum import singlet_expectation
 from bellfoundry.rng import BATCH_SIZE
 
 
@@ -196,6 +199,7 @@ class TestConfigSchema:
             ('{"axes": [[0, 1, 2, NaN]]}', "finite"),
             ('{"axes": [[0, 1, 2, Infinity]]}', "finite"),
             ("[1, 2]", "JSON object"),
+            ({"axes": [[10**400, 0, 0, 0]]}, "finite"),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, config, message):
@@ -222,6 +226,73 @@ class TestConfigSchema:
         report = json.loads((tmp_path / "run_report.json").read_text())
         assert report["runs"][0]["axes"] == [0, 1, 2.5, 3]
         assert report["seed"] == 0
+
+
+def either(*strategies):
+    """Draw from one of the strategies, each picked with equal weight."""
+    return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
+
+
+# integers too large for a float, of either sign
+huge_ints = st.integers(2**1024, 10**400) | st.integers(-(10**400), -(2**1024))
+# JSON values that are never a valid trial count
+non_counts = st.none() | st.booleans() | st.text(max_size=4) | st.floats() | st.integers(max_value=0)
+json_scalars = non_counts | st.integers(-3, 3) | huge_ints
+finite_angles = st.floats(-1e6, 1e6) | st.integers(-10, 10)
+bad_angles = either(huge_ints, st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=2) | st.booleans())
+VALID_VALUES = {
+    "model": st.sampled_from(sorted(MODELS)),
+    "axes": st.lists(st.lists(finite_angles, min_size=4, max_size=4), min_size=1, max_size=3),
+    # valid counts stay small so that every example runs fast
+    "trials": st.integers(1, 1000),
+    "seed": st.integers(0, 2**64 - 1),
+    "sign_choice": st.sampled_from([1, -1]),
+    "output": st.text(min_size=1, max_size=4),
+    "threads": st.integers(1, 4),
+    "grid": st.integers(2, 64),
+}
+BAD_VALUES = {
+    **{key: json_scalars for key in VALID_VALUES},
+    "axes": json_scalars | st.just([]),
+    "trials": non_counts | huge_ints.filter(lambda n: n < 0),
+}
+ragged_entries = st.lists(finite_angles, max_size=6).filter(lambda entry: len(entry) != 4) | json_scalars
+unknown_keys = st.dictionaries(
+    st.text(max_size=6).filter(lambda key: key not in CONFIG_DEFAULTS), json_scalars, min_size=1, max_size=2
+)
+
+
+@st.composite
+def config_files(draw):
+    """A JSON config file, valid but for at most one fault."""
+    fault = draw(st.sampled_from(["none", "value", "angle", "ragged", "unknown key", "not an object"]))
+    if fault == "not an object":
+        return draw(json_scalars | st.lists(json_scalars, max_size=3))
+    config = {key: draw(values) for key, values in VALID_VALUES.items() if draw(st.booleans())}
+    if fault == "value":
+        key = draw(st.sampled_from(sorted(BAD_VALUES)))
+        config[key] = draw(BAD_VALUES[key])
+    elif fault in ("angle", "ragged"):
+        axes = config["axes"] = draw(VALID_VALUES["axes"])
+        i = draw(st.integers(0, len(axes) - 1))
+        if fault == "angle":
+            axes[i][draw(st.integers(0, 3))] = draw(bad_angles)
+        else:
+            axes[i] = draw(ragged_entries)
+    elif fault == "unknown key":
+        config.update(draw(unknown_keys))
+    return config
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(config_files())
+    def test_simulate_exits_0_or_2(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            assert main(["simulate", "--config", path, "--out", os.path.join(tmp, "run")]) in (0, 2)
 
 
 class TestSimulate:
@@ -368,26 +439,20 @@ class TestEngine:
         for name, runner in MODELS.items():
             counts = run_pair_counts(runner, a, b, 200_000, 11, 0, 2)
             est = empirical_expectation(counts)
-            expected = (
-                runner.analytic_expectation(a, b)
-                if runner.analytic_expectation is not None
-                else singlet_expectation(a, b)
-            )
-            assert abs(est.value - expected) < 5 * est.std_error, name
+            assert abs(est.value - runner.analytic_expectation(a, b)) < 5 * est.std_error, name
 
 
 class TestScan:
     def test_quantum_scan_finds_tsirelson(self):
-        axes, sign, value = run_scan("quantum", 16, 0, 1)
+        axes, sign, value = run_scan("quantum", 16)
         assert value == pytest.approx(math.sqrt(2) / 2, abs=1e-10)
 
     def test_sign_lhv_scan_respects_bound(self):
-        _, _, value = run_scan("sign-lhv", 16, 0, 1)
+        _, _, value = run_scan("sign-lhv", 16)
         assert value <= 0.5 + 1e-12
 
-    def test_mc_scan_runs(self):
-        _, _, value = run_scan("model1", 4, 20_000, 1)
-        assert 0.0 <= value <= math.sqrt(2) / 2 + 0.05
+    def test_model1_scan_uses_the_singlet_closed_form(self):
+        assert run_scan("model1", 16) == run_scan("quantum", 16)
 
     def test_scan_cli(self, capsys):
         rc = main(["scan", "--model", "quantum", "--grid", "8"])
@@ -396,7 +461,20 @@ class TestScan:
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
-            run_scan("quantum", 1, 0, 1)
+            run_scan("quantum", 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--trials", "5"],
+            ["scan", "--seed", "1"],
+            ["scan", "--threads", "2"],
+            ["simulate", "--grid", "4"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellfoundry import model1
 from bellfoundry.geometry import (
     Axis,
     MINUS,
@@ -220,6 +221,56 @@ class TestEprTrials:
         value = (signs[:, 0] * signs[:, 1]).mean() / 4.0
         est = empirical_expectation(sample_trial_counts(substream(80), a, b, n))
         assert abs(value - est.value) < 5 * math.sqrt(2) * est.std_error
+
+
+class FixedDraws:
+    """A generator stub: one sphere point along +z or -z, and one uniform u."""
+
+    def __init__(self, first_sign, u):
+        self.first_sign = first_sign
+        self.u = u
+
+    def standard_normal(self, shape):
+        return np.tile([0.0, 0.0, float(self.first_sign)], (shape[0], 1))
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+
+# At this angle the two models' thresholds differ in the last bits:
+# (1 -+ cos d)/2 for model1, sin^2(d/2) and cos^2(d/2) for model2.
+THRESHOLD_DELTA = 0.0031
+OWN_THRESHOLDS = {
+    "model1": (
+        (1.0 - math.cos(THRESHOLD_DELTA)) / 2.0,
+        (1.0 + math.cos(THRESHOLD_DELTA)) / 2.0,
+    ),
+    "model2": (math.sin(THRESHOLD_DELTA / 2.0) ** 2, math.cos(THRESHOLD_DELTA / 2.0) ** 2),
+}
+
+
+class TestThresholdBits:
+    def test_the_two_models_thresholds_differ(self):
+        for plus, minus in zip(OWN_THRESHOLDS["model1"], OWN_THRESHOLDS["model2"]):
+            assert plus != minus
+
+    @pytest.mark.parametrize("name", ["model1", "model2"])
+    @pytest.mark.parametrize("first_sign", [1, -1])
+    def test_second_outcome_flips_at_its_own_threshold(self, name, first_sign):
+        sampler = {"model1": model1.sample_trial_counts, "model2": sample_trial_counts}[name]
+        threshold = OWN_THRESHOLDS[name][0 if first_sign > 0 else 1]
+        a, b = Axis(0.0), Axis(THRESHOLD_DELTA)
+
+        def second_is_plus(u):
+            counts = sampler(FixedDraws(first_sign, u), a, b, 1)
+            if first_sign > 0:
+                assert counts.n_pp + counts.n_pm == 1
+                return counts.n_pp == 1
+            assert counts.n_mp + counts.n_mm == 1
+            return counts.n_mp == 1
+
+        assert not second_is_plus(threshold)
+        assert second_is_plus(math.nextafter(threshold, 0.0))
 
 
 class TestSingleSphereSequence:
