@@ -24,8 +24,9 @@ from bellfoundry.geometry import Axis, empirical_expectation
 from bellfoundry.rng import BATCH_SIZE
 
 
-# Exact stdout at seed 1; any change to a printed value must update these.
-GOLDEN_VERIFY_ALL_SEED_1 = """\
+# Exact stdout by seed; any change to a printed value must update these.
+GOLDEN_VERIFY_ALL = {
+    1: """\
 check=chsh.sign_lhv_mc_grid status=pass value=0.5 bound=0.5 margin=0
 check=chsh.vertex_joint_distributions status=pass value=0.5 bound=0.5 margin=0
 check=chsh.singlet_violation status=pass value=0.707106781187 bound=0.707106781187 margin=1.11022302463e-16
@@ -36,9 +37,23 @@ check=identity.max_residual status=pass value=1.38777878078e-16 bound=1e-12 marg
 check=stochastic_defect.deterministic_model status=pass value=0 bound=0 margin=0
 check=stochastic_defect.constant_half_model status=pass value=0.5 bound=0.5 margin=0
 suite=all overall=pass
-"""
+""",
+    90210: """\
+check=chsh.sign_lhv_mc_grid status=pass value=0.5 bound=0.5 margin=0
+check=chsh.vertex_joint_distributions status=pass value=0.5 bound=0.5 margin=0
+check=chsh.singlet_violation status=pass value=0.707106781187 bound=0.707106781187 margin=1.11022302463e-16
+check=wigner.deterministic_holds status=pass value=1.28369537222e-16 bound=1e-12 margin=9.99871630463e-13
+check=wigner.quantum_violates status=pass value=0.5 bound=0.707106781187 margin=0.207106781187
+check=tsirelson.grid_max_norm status=pass value=0.707106781187 bound=0.707106781187 margin=0
+check=identity.max_residual status=pass value=1.38777878078e-16 bound=1e-12 margin=9.99861222122e-13
+check=stochastic_defect.deterministic_model status=pass value=0 bound=0 margin=0
+check=stochastic_defect.constant_half_model status=pass value=0.5 bound=0.5 margin=0
+suite=all overall=pass
+""",
+}
 
-GOLDEN_ORACLE_SEED_1 = """\
+GOLDEN_ORACLE = {
+    1: """\
 oracle=singlet_expectation_pi_over_4 value=-0.17677669529663687
 oracle=chsh_operator_norm_numpy value=0.7071067811865475
 oracle=wigner_overlap_quadrature_pi_over_2 value=0.25
@@ -47,7 +62,18 @@ oracle=sign_model_quadrature_d=0.785398 value=-0.125
 oracle=hemi_average_quadrature_pi_over_3 value=0.4999999999999964
 oracle=vertex_joint_chsh_max value=0.5
 oracle=dirichlet_joint_chsh_max value=0.40764779257865924
-"""
+""",
+    90210: """\
+oracle=singlet_expectation_pi_over_4 value=-0.17677669529663687
+oracle=chsh_operator_norm_numpy value=0.7071067811865475
+oracle=wigner_overlap_quadrature_pi_over_2 value=0.25
+oracle=sign_model_quadrature_d=1.570796 value=0.0
+oracle=sign_model_quadrature_d=0.785398 value=-0.125
+oracle=hemi_average_quadrature_pi_over_3 value=0.4999999999999964
+oracle=vertex_joint_chsh_max value=0.5
+oracle=dirichlet_joint_chsh_max value=0.4008609366538811
+""",
+}
 
 # sha256 of the three simulate files for GOLDEN_REPORT_CONFIG at threads 1
 # and 2.  The trial count leaves a ragged last batch (2 full + 17).  Any
@@ -78,6 +104,38 @@ GOLDEN_REPORT_SHA256 = {
         "f14a56692de03849536c9c9f0b8e9335a18ff0854aa439b23d1ff6598a75f406",
         "3515580ac76a1cc5ec36607ccaeed5c6bda5ee4b7e2330a47409f8502ca06600",
         "2a4c2b57e2487b6a40918d955ec99ef5fcfc4c42ea05cde96f2ce1f572d9a1b3",
+    ),
+}
+
+# One trial per pair leaves every pair's std error NaN: "nan" in the
+# summary CSV, null in the JSON.  Integer axes are written as given.
+GOLDEN_SINGLE_TRIAL_CONFIG = {
+    "axes": [[0, 1, 2, 3], [0.3, 5.9, 1.1, 4.2]],
+    "trials": 1,
+    "seed": 20261018,
+    "sign_choice": -1,
+}
+
+GOLDEN_SINGLE_TRIAL_SHA256 = {
+    "quantum": (
+        "d110c8c4749e2d861e38642b8efedcc9cecc6ccdb50065d75ad2c005cf2b12a8",
+        "7c89637de42cc47bea8576ffb2d12e1e92b59372d9c05f4ed789b571fe552381",
+        "23bd94c7f4a29735d87a9a14dc2d83355df2406260ed51c65bbfb4ffd5105d10",
+    ),
+    "sign-lhv": (
+        "40403034926733614a8e3bb40cd084a7b12a9c62053db77aa6fae7082e21c101",
+        "5f6d78fbaccf0b16d19f6f76cbc71dfd683babd5ca4ef2630ad18980e7bc4cad",
+        "960d32cc72138221f76f0492d4558bd62456cbd56ee6dd2ac3ff82b454f017b4",
+    ),
+    "model1": (
+        "85aab0bd2114bb1229d4fd7ae88fbc0fd1e1a08d884de7bc42ea7b53ff8bb9ac",
+        "d12a356f0f067a0b45dab38440df66e5f4000fd8b9a58a300069bb0654a226ae",
+        "8aa13d806ac377dc4e5858ac5b490924681591fda9beffd4e67174615202432a",
+    ),
+    "model2": (
+        "85aab0bd2114bb1229d4fd7ae88fbc0fd1e1a08d884de7bc42ea7b53ff8bb9ac",
+        "d12a356f0f067a0b45dab38440df66e5f4000fd8b9a58a300069bb0654a226ae",
+        "738541d387976f792305c705a8c675a6e2d8993c5dcbd83f8777cf1e17f39093",
     ),
 }
 
@@ -397,20 +455,33 @@ class TestAtomicReports:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def _report_digests(tmp_path, config, threads):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    prefix = tmp_path / "run"
+    argv = ["simulate", "--config", str(path), "--out", str(prefix), "--threads", str(threads)]
+    assert main(argv) == 0
+    return tuple(
+        hashlib.sha256((tmp_path / f"run{suffix}").read_bytes()).hexdigest()
+        for suffix in REPORT_SUFFIXES
+    )
+
+
 class TestGoldenReports:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("model", sorted(GOLDEN_REPORT_SHA256))
     def test_report_sha256(self, tmp_path, model, threads):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"model": model, **GOLDEN_REPORT_CONFIG}))
-        prefix = tmp_path / "run"
-        argv = ["simulate", "--config", str(config), "--out", str(prefix), "--threads", str(threads)]
-        assert main(argv) == 0
-        digests = tuple(
-            hashlib.sha256((tmp_path / f"run{suffix}").read_bytes()).hexdigest()
-            for suffix in REPORT_SUFFIXES
-        )
+        digests = _report_digests(tmp_path, {"model": model, **GOLDEN_REPORT_CONFIG}, threads)
         assert digests == GOLDEN_REPORT_SHA256[model]
+
+    @pytest.mark.parametrize("model", sorted(GOLDEN_SINGLE_TRIAL_SHA256))
+    def test_single_trial_report_sha256(self, tmp_path, model):
+        config = {"model": model, **GOLDEN_SINGLE_TRIAL_CONFIG}
+        assert _report_digests(tmp_path, config, 1) == GOLDEN_SINGLE_TRIAL_SHA256[model]
+        rows = (tmp_path / "run_summary.csv").read_text().splitlines()[1:]
+        assert all(row.endswith(",nan") for row in rows if ":chsh," not in row)
+        report = json.loads((tmp_path / "run_report.json").read_text())
+        assert all(pair["std_error"] is None for run in report["runs"] for pair in run["pairs"])
 
 
 class TestEngine:
@@ -491,9 +562,10 @@ class TestVerify:
         assert rc == 2
         assert "unknown suite" in capsys.readouterr().err
 
-    def test_golden_stdout_all_seed_1(self, capsys):
-        assert main(["verify", "--suite", "all", "--seed", "1"]) == 0
-        assert capsys.readouterr().out == GOLDEN_VERIFY_ALL_SEED_1
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_VERIFY_ALL))
+    def test_golden_stdout_all(self, capsys, seed):
+        assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == GOLDEN_VERIFY_ALL[seed]
 
     def test_wigner_mc_triples_use_distinct_streams(self, monkeypatch):
         keys = []
@@ -528,9 +600,10 @@ class TestOracle:
         norm = float(out.split("oracle=chsh_operator_norm_numpy value=")[1].splitlines()[0])
         assert norm == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
 
-    def test_golden_stdout_seed_1(self, capsys):
-        assert main(["oracle", "--seed", "1"]) == 0
-        assert capsys.readouterr().out == GOLDEN_ORACLE_SEED_1
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_ORACLE))
+    def test_golden_stdout(self, capsys, seed):
+        assert main(["oracle", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == GOLDEN_ORACLE[seed]
 
 
 class TestUsageErrors:
