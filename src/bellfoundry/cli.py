@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,8 @@ from .lhv import (
 from .quantum import chsh_norm_grid, chsh_operator, identity_residual_scan, singlet_expectation
 from .rng import substream
 
-PAIR_LABELS = ("ab", "ab'", "a'b", "a'b'")
+#: The four CHSH pairs as (label, first axis, second axis), indexing a quadruple (a, a', b, b').
+PAIRS = (("ab", 0, 2), ("ab'", 0, 3), ("a'b", 1, 2), ("a'b'", 1, 3))
 
 OPTIMAL_AXES = (0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0)
 
@@ -118,20 +120,15 @@ def load_config(args) -> dict:
         if unknown:
             raise UsageError(f"unknown config keys {unknown}; known keys are {sorted(CONFIG_DEFAULTS)}")
         config.update(from_file)
-    if getattr(args, "model", None):
-        config["model"] = args.model
-    if getattr(args, "axes", None):
-        config["axes"] = [_parse_axes(v) for v in args.axes]
-    for key in ("trials", "seed", "grid"):
+    for key in CONFIG_DEFAULTS:
         value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
-    if getattr(args, "sign", None):
-        config["sign_choice"] = 1 if args.sign == "+" else -1
-    if getattr(args, "out", None):
-        config["output"] = args.out
-    if getattr(args, "threads", None) is not None:
-        config["threads"] = args.threads
+        if value is None:
+            continue
+        if key == "axes":
+            value = [_parse_axes(v) for v in value]
+        elif key == "sign_choice":
+            value = 1 if value == "+" else -1
+        config[key] = value
     env_threads = os.environ.get("BELLFOUNDRY_THREADS")
     if env_threads:
         try:
@@ -142,27 +139,41 @@ def load_config(args) -> dict:
     return config
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x) -> str:
+    """A float as ``repr`` writes it; a std error that is null in the JSON as ``nan``."""
+    return "nan" if x is None else repr(float(x))
 
 
-def _write_report_files(out: str, count_rows, summary_rows, report: dict) -> None:
-    """Write the three report files whole or not at all.
+CELL_LABELS = (("+1/2", "+1/2"), ("+1/2", "-1/2"), ("-1/2", "+1/2"), ("-1/2", "-1/2"))
+
+
+def _write_report_files(out: str, report: dict) -> None:
+    """Render both CSVs from the report and write the three files whole or not at all.
 
     Each file goes to a temporary name beside its target; only when all
     three are written are they moved into place with ``os.replace``, so
     a failed write leaves the previous files and no temporary file.
     """
-    def write_csv(header, rows):
-        return lambda fh: fh.write(header + "".join(",".join(row) + "\n" for row in rows))
+    counts_csv = ["run_id,theta_a,theta_b,a1,b2,count,freq\n"]
+    summary_csv = ["pair_id,E,std_error\n"]
+    for run in report["runs"]:
+        run_id = run["run_id"]
+        for pair in run["pairs"]:
+            thetas = f"{run_id},{_fmt(pair['theta_a'])},{_fmt(pair['theta_b'])}"
+            total = sum(pair["counts"])
+            for (a1, b2), cell in zip(CELL_LABELS, pair["counts"]):
+                counts_csv.append(f"{thetas},{a1},{b2},{cell},{_fmt(cell / total)}\n")
+            summary_csv.append(f"{run_id}:{pair['pair']},{_fmt(pair['expectation'])},"
+                               f"{_fmt(pair['std_error'])}\n")
+        summary_csv.append(f"{run_id}:chsh,{_fmt(run['chsh'])},{_fmt(run['chsh_std_error'])}\n")
 
     def write_json(fh):
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     writers = (
-        ("_counts.csv", write_csv("run_id,theta_a,theta_b,a1,b2,count,freq\n", count_rows)),
-        ("_summary.csv", write_csv("pair_id,E,std_error\n", summary_rows)),
+        ("_counts.csv", lambda fh: fh.write("".join(counts_csv))),
+        ("_summary.csv", lambda fh: fh.write("".join(summary_csv))),
         ("_report.json", write_json),
     )
     moves = []
@@ -182,45 +193,23 @@ def _write_report_files(out: str, count_rows, summary_rows, report: dict) -> Non
 
 
 def run_simulate(config: dict) -> dict:
-    """Run trials for every configured axis quadruple; write CSV + JSON."""
+    """Run trials for every configured axis quadruple; write CSV + JSON; return the report."""
     runner = MODELS[config["model"]]
     sign = config["sign_choice"]
     trials = config["trials"]
     threads = config["threads"]
-    count_rows = []
-    summary_rows = []
-    report_runs = []
+    runs = []
     for run_id, quad in enumerate(config["axes"]):
-        theta_a, theta_ap, theta_b, theta_bp = quad
-        pairs = [
-            (theta_a, theta_b),
-            (theta_a, theta_bp),
-            (theta_ap, theta_b),
-            (theta_ap, theta_bp),
-        ]
         estimates = []
         pair_reports = []
-        for pair_idx, (ta, tb) in enumerate(pairs):
+        for pair_idx, (label, i, j) in enumerate(PAIRS):
+            ta, tb = quad[i], quad[j]
             stream = run_id * 4 + pair_idx
             counts = run_pair_counts(
                 runner, Axis(ta), Axis(tb), trials, config["seed"], stream, threads
             )
             est = empirical_expectation(counts)
             estimates.append(est)
-            cells = [
-                ("+1/2", "+1/2", counts.n_pp),
-                ("+1/2", "-1/2", counts.n_pm),
-                ("-1/2", "+1/2", counts.n_mp),
-                ("-1/2", "-1/2", counts.n_mm),
-            ]
-            for a1, b2, cell in cells:
-                count_rows.append(
-                    [str(run_id), _fmt(ta), _fmt(tb), a1, b2, str(cell), _fmt(cell / counts.total)]
-                )
-            label = PAIR_LABELS[pair_idx]
-            summary_rows.append(
-                [f"{run_id}:{label}", _fmt(est.value), _fmt(est.std_error)]
-            )
             pair_reports.append(
                 {
                     "pair": label,
@@ -233,9 +222,8 @@ def run_simulate(config: dict) -> dict:
             )
         value = chsh_value(*(e.value for e in estimates), sign_choice=sign)
         std = chsh_std_error([e.std_error for e in estimates])
-        summary_rows.append([f"{run_id}:chsh", _fmt(value), _fmt(std)])
         flag = "Bell bound violated" if value > BELL_BOUND + 5.0 * std else "bound respected"
-        report_runs.append(
+        runs.append(
             {
                 "run_id": run_id,
                 "axes": list(quad),
@@ -252,9 +240,9 @@ def run_simulate(config: dict) -> dict:
         "trials": trials,
         "seed": config["seed"],
         "sign_choice": sign,
-        "runs": report_runs,
+        "runs": runs,
     }
-    _write_report_files(config["output"], count_rows, summary_rows, report)
+    _write_report_files(config["output"], report)
     return report
 
 
@@ -290,143 +278,141 @@ def run_scan(model: str, grid_resolution: int):
     return best[0], best[1], best_value
 
 
-def _check(name: str, ok: bool, value: float, bound: float, lines: list) -> bool:
-    margin = bound - value
-    lines.append(
-        f"check={name} status={'pass' if ok else 'FAIL'} "
-        f"value={value:.12g} bound={bound:.12g} margin={margin:.12g}"
-    )
-    return ok
+class Check(NamedTuple):
+    """One verify comparison: the value a check found and the bound it is held to."""
+
+    name: str
+    ok: bool
+    value: float
+    bound: float
+
+    @property
+    def margin(self) -> float:
+        return self.bound - self.value
+
+    @property
+    def line(self) -> str:
+        return (
+            f"check={self.name} status={'pass' if self.ok else 'FAIL'} "
+            f"value={self.value:.12g} bound={self.bound:.12g} margin={self.margin:.12g}"
+        )
 
 
-def verify_chsh(seed: int) -> tuple:
-    lines = []
-    ok = True
+def verify_chsh(seed: int) -> list[Check]:
     model = DeterministicSignModel()
     grid = [Axis(k * math.pi / 4.0) for k in range(8)]
     report = check_bell_theorem(model, grid, 100_000, substream(seed, stream=101))
-    ok &= _check(
-        "chsh.sign_lhv_mc_grid",
-        report.holds,
-        report.worst_value,
-        BELL_BOUND + report.tolerance,
-        lines,
-    )
     worst_vertex = max(joint_distribution_chsh(f) for _, f in vertex_distributions())
-    ok &= _check("chsh.vertex_joint_distributions", worst_vertex <= BELL_BOUND + 1e-12, worst_vertex, BELL_BOUND, lines)
     axes = [Axis(t) for t in OPTIMAL_AXES]
-    singlet = chsh_value(
-        *(singlet_expectation(axes[i], axes[j]) for i, j in ((0, 2), (0, 3), (1, 2), (1, 3))),
-        sign_choice=1,
-    )
-    ok &= _check(
-        "chsh.singlet_violation",
-        singlet > BELL_BOUND and abs(singlet - TSIRELSON_BOUND) < 1e-12,
-        singlet,
-        TSIRELSON_BOUND,
-        lines,
-    )
-    return ok, lines
+    singlet = chsh_value(*(singlet_expectation(axes[i], axes[j]) for _, i, j in PAIRS))
+    return [
+        Check("chsh.sign_lhv_mc_grid", report.holds, report.worst_value,
+              BELL_BOUND + report.tolerance),
+        Check("chsh.vertex_joint_distributions", worst_vertex <= BELL_BOUND + 1e-12,
+              worst_vertex, BELL_BOUND),
+        Check("chsh.singlet_violation",
+              singlet > BELL_BOUND and abs(singlet - TSIRELSON_BOUND) < 1e-12,
+              singlet, TSIRELSON_BOUND),
+    ]
 
 
-def verify_wigner(seed: int) -> tuple:
-    lines = []
-    ok = True
+def verify_wigner(seed: int) -> list[Check]:
     model = DeterministicSignModel()
     rng = substream(seed, stream=102)
+    n = 100_000
+    tol = 5.0 * math.sqrt(3.0) * measure_std_error(0.5, n)
     worst_gap = math.inf
     holds_all = True
     for k in range(100):
         a, ap, b = (Axis(t) for t in rng.uniform(0.0, 2.0 * math.pi, size=3))
-        lhs, rhs, holds = wigner_inequality_check(model, a, ap, b, mode="analytic")
-        holds_all &= holds or lhs >= rhs - 1e-12
+        lhs, rhs, holds = wigner_inequality_check(model, a, ap, b, mode="analytic", tolerance=1e-12)
         worst_gap = min(worst_gap, lhs - rhs)
-        n = 100_000
         lhs_mc, rhs_mc, _ = wigner_inequality_check(
             model, a, ap, b, mode="mc", n=n, rng=substream(seed, stream=103, batch=k)
         )
-        tol = 5.0 * math.sqrt(3.0) * measure_std_error(0.5, n)
-        holds_all &= lhs_mc >= rhs_mc - tol
-    ok &= _check("wigner.deterministic_holds", holds_all, -worst_gap, 1e-12, lines)
-    lhs, rhs, violated = quantum_wigner_violation(Axis(math.pi / 4.0), Axis(math.pi / 2.0), Axis(0.0))
-    ok &= _check("wigner.quantum_violates", violated, lhs, rhs, lines)
-    return ok, lines
+        holds_all &= holds and lhs_mc >= rhs_mc - tol
+    lhs, rhs, violated = quantum_wigner_violation(
+        Axis(math.pi / 4.0), Axis(math.pi / 2.0), Axis(0.0)
+    )
+    return [
+        Check("wigner.deterministic_holds", holds_all, -worst_gap, 1e-12),
+        Check("wigner.quantum_violates", violated, lhs, rhs),
+    ]
 
 
-def verify_tsirelson(resolution: int = 64) -> tuple:
-    lines = []
-    _, best_norm = chsh_norm_grid(resolution)
+#: Points per angle of the CHSH operator-norm grid that ``verify_tsirelson`` scans.
+TSIRELSON_GRID = 64
+
+
+def verify_tsirelson(seed: int) -> list[Check]:
+    """The grid's largest CHSH operator norm is Tsirelson's; ``seed`` is not used."""
+    _, best_norm = chsh_norm_grid(TSIRELSON_GRID)
     ok = abs(best_norm - TSIRELSON_BOUND) < 1e-9 and best_norm <= TSIRELSON_BOUND + 1e-10
-    return _check("tsirelson.grid_max_norm", ok, best_norm, TSIRELSON_BOUND, lines), lines
+    return [Check("tsirelson.grid_max_norm", ok, best_norm, TSIRELSON_BOUND)]
 
 
-def verify_identity(seed: int) -> tuple:
-    lines = []
+def verify_identity(seed: int) -> list[Check]:
     residual = identity_residual_scan(1000, seed)
-    return _check("identity.max_residual", residual < 1e-12, residual, 1e-12, lines), lines
+    return [Check("identity.max_residual", residual < 1e-12, residual, 1e-12)]
 
 
-def verify_stochastic_defect(seed: int) -> tuple:
-    lines = []
-    ok = True
+def verify_stochastic_defect(seed: int) -> list[Check]:
     rng = substream(seed, stream=104)
     a = Axis(rng.uniform(0.0, 2.0 * math.pi))
     det = stochastic_defect(DeterministicSignModel(), a, 100_000, rng)
-    ok &= _check("stochastic_defect.deterministic_model", det == 0.0, det, 0.0, lines)
     const = stochastic_defect(ConstantResponseModel(0.5), a, 100_000, rng)
-    ok &= _check("stochastic_defect.constant_half_model", abs(const - 0.5) < 1e-12, const, 0.5, lines)
-    return ok, lines
+    return [
+        Check("stochastic_defect.deterministic_model", det == 0.0, det, 0.0),
+        Check("stochastic_defect.constant_half_model", abs(const - 0.5) < 1e-12, const, 0.5),
+    ]
 
 
 VERIFY_SUITES = {
-    "chsh": lambda seed: verify_chsh(seed),
-    "wigner": lambda seed: verify_wigner(seed),
-    "tsirelson": lambda seed: verify_tsirelson(),
-    "identity": lambda seed: verify_identity(seed),
-    "stochastic-defect": lambda seed: verify_stochastic_defect(seed),
+    "chsh": verify_chsh,
+    "wigner": verify_wigner,
+    "tsirelson": verify_tsirelson,
+    "identity": verify_identity,
+    "stochastic-defect": verify_stochastic_defect,
 }
 
 
-def run_verify(suite: str, seed: int) -> tuple:
+def run_verify(suite: str, seed: int) -> list[Check]:
+    """The checks of one suite, or of every suite in order for ``all``."""
     if suite == "all":
-        ok = True
-        lines = []
-        for name in VERIFY_SUITES:
-            suite_ok, suite_lines = VERIFY_SUITES[name](seed)
-            ok &= suite_ok
-            lines.extend(suite_lines)
-        return ok, lines
+        return [check for verify in VERIFY_SUITES.values() for check in verify(seed)]
     if suite not in VERIFY_SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {sorted(VERIFY_SUITES)} or all")
     return VERIFY_SUITES[suite](seed)
 
 
-def run_oracle(seed: int) -> list:
-    """Brute-force oracles behind the derived expected values, printed plainly."""
-    lines = []
-    e = oracles.singlet_expectation_from_cells(math.pi / 4.0)
-    lines.append(f"oracle=singlet_expectation_pi_over_4 value={e!r}")
-    # spectral norm of the optimal CHSH operator via numpy, straight from its entries
-    axes = [Axis(t) for t in OPTIMAL_AXES]
-    op = chsh_operator(axes[0], axes[1], axes[2], axes[3], 1)
-    norm = float(np.abs(np.linalg.eigvalsh(op.entries)).max())
-    lines.append(f"oracle=chsh_operator_norm_numpy value={norm!r}")
-    overlap = oracles.half_circle_overlap_quadrature(0.0, math.pi / 2.0)
-    lines.append(f"oracle=wigner_overlap_quadrature_pi_over_2 value={overlap!r}")
-    for d in (math.pi / 2.0, math.pi / 4.0):
-        value = oracles.sign_model_expectation_quadrature(d)
-        lines.append(f"oracle=sign_model_quadrature_d={d:.6f} value={value!r}")
-    value = oracles.hemi_average_quadrature(math.pi / 3.0)
-    lines.append(f"oracle=hemi_average_quadrature_pi_over_3 value={value!r}")
-    # max of the joint-distribution CHSH over the 16 deterministic vertices
-    worst = max(joint_distribution_chsh(f) for _, f in vertex_distributions())
-    lines.append(f"oracle=vertex_joint_chsh_max value={worst!r}")
+def run_oracle(seed: int) -> list[tuple[str, float]]:
+    """Brute-force oracles behind the derived expected values, as (name, value) pairs."""
+    op = chsh_operator(*(Axis(t) for t in OPTIMAL_AXES), 1)
     # random-distribution sweep (Dirichlet) of the joint-distribution bound
-    rng = substream(seed, stream=105)
-    draws = rng.dirichlet(np.ones(16), size=10_000).reshape(-1, 2, 2, 2, 2)
-    worst_random = max(joint_distribution_chsh(f) for f in draws)
-    lines.append(f"oracle=dirichlet_joint_chsh_max value={worst_random!r}")
-    return lines
+    draws = substream(seed, stream=105).dirichlet(np.ones(16), size=10_000)
+    return [
+        ("singlet_expectation_pi_over_4", oracles.singlet_expectation_from_cells(math.pi / 4.0)),
+        # spectral norm of the optimal CHSH operator via numpy, straight from its entries
+        ("chsh_operator_norm_numpy", float(np.abs(np.linalg.eigvalsh(op.entries)).max())),
+        (
+            "wigner_overlap_quadrature_pi_over_2",
+            oracles.half_circle_overlap_quadrature(0.0, math.pi / 2.0),
+        ),
+        *(
+            (f"sign_model_quadrature_d={d:.6f}", oracles.sign_model_expectation_quadrature(d))
+            for d in (math.pi / 2.0, math.pi / 4.0)
+        ),
+        ("hemi_average_quadrature_pi_over_3", oracles.hemi_average_quadrature(math.pi / 3.0)),
+        # max of the joint-distribution CHSH over the 16 deterministic vertices
+        (
+            "vertex_joint_chsh_max",
+            max(joint_distribution_chsh(f) for _, f in vertex_distributions()),
+        ),
+        (
+            "dirichlet_joint_chsh_max",
+            max(joint_distribution_chsh(f) for f in draws.reshape(-1, 2, 2, 2, 2)),
+        ),
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--axes", action="append", help="quadruple 'a,a_prime,b,b_prime' in radians")
     sim.add_argument("--trials", type=int)
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--sign", choices=["+", "-"])
-    sim.add_argument("--out", help="output file prefix")
+    sim.add_argument("--sign", dest="sign_choice", choices=["+", "-"])
+    sim.add_argument("--out", dest="output", help="output file prefix")
     sim.add_argument("--threads", type=int)
 
     scan = sub.add_parser("scan", help="grid-search axes maximizing the CHSH combination")
@@ -452,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--grid", type=int, help="grid resolution per angle")
 
     ver = sub.add_parser("verify", help="run an inequality verification suite")
-    ver.add_argument("--suite", default="all", help="chsh|wigner|tsirelson|identity|stochastic-defect|all")
+    ver.add_argument("--suite", default="all", help="|".join([*VERIFY_SUITES, "all"]))
     ver.add_argument("--seed", type=int, default=1)
 
     orc = sub.add_parser("oracle", help="print brute-force oracle values")
@@ -490,19 +476,17 @@ def main(argv=None) -> int:
             )
             return 0
         if args.command == "verify":
-            ok, lines = run_verify(args.suite, args.seed)
-            for line in lines:
-                print(line)
+            checks = run_verify(args.suite, args.seed)
+            ok = all(check.ok for check in checks)
+            for check in checks:
+                print(check.line)
             print(f"suite={args.suite} overall={'pass' if ok else 'FAIL'}")
             return 0 if ok else 1
         if args.command == "oracle":
-            for line in run_oracle(args.seed):
-                print(line)
+            for name, value in run_oracle(args.seed):
+                print(f"oracle={name} value={value!r}")
             return 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -156,8 +156,6 @@ class BellCheckReport:
     """Worst-case CHSH margin for a model over an axis grid."""
 
     worst_value: float
-    worst_axes: tuple
-    worst_sign: int
     tolerance: float
 
     @property
@@ -181,7 +179,7 @@ def check_bell_theorem(
     for a in grid:
         for b in grid:
             estimates[(a.theta, b.theta)] = model_expectation(model, a, b, n, rng)
-    worst = (-math.inf, None, 0, 0.0)
+    worst_value, worst_tol = -math.inf, 0.0
     for a, ap, b, bp in itertools.product(grid, repeat=4):
         es = [
             estimates[(a.theta, b.theta)],
@@ -192,11 +190,9 @@ def check_bell_theorem(
         tol = 5.0 * math.sqrt(sum(e.std_error**2 for e in es))
         for sign in _OUTCOME_SIGNS:
             value = chsh_value(*(e.value for e in es), sign_choice=sign)
-            if value - tol > worst[0] - worst[3]:
-                worst = (value, (a, ap, b, bp), sign, tol)
-    return BellCheckReport(
-        worst_value=worst[0], worst_axes=worst[1], worst_sign=worst[2], tolerance=worst[3]
-    )
+            if value - tol > worst_value - worst_tol:
+                worst_value, worst_tol = value, tol
+    return BellCheckReport(worst_value=worst_value, tolerance=worst_tol)
 
 
 def joint_distribution_chsh(f: np.ndarray) -> float:

@@ -46,10 +46,6 @@ class HermitianOperator:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def singlet_joint_probability(a1: Outcome, a: Axis, b2: Outcome, b: Axis) -> float:
     """Joint singlet probability for outcomes (a1, b2) along axes (a, b).

@@ -11,6 +11,7 @@ from bellfoundry import cli
 from bellfoundry.cli import (
     CONFIG_DEFAULTS,
     OPTIMAL_AXES,
+    Check,
     UsageError,
     build_parser,
     load_config,
@@ -585,10 +586,22 @@ class TestVerify:
         assert len(mc_keys) == 100
         assert len(set(mc_keys)) == 100
 
-    def test_run_verify_returns_lines(self):
-        ok, lines = run_verify("identity", 1)
-        assert ok
-        assert any(line.startswith("check=identity") for line in lines)
+    def test_run_verify_returns_check_records(self):
+        checks = run_verify("stochastic-defect", 1)
+        assert all(isinstance(check, Check) for check in checks)
+        assert [check.name for check in checks] == [
+            "stochastic_defect.deterministic_model",
+            "stochastic_defect.constant_half_model",
+        ]
+        assert all(check.ok for check in checks)
+        assert checks[1].line == (
+            "check=stochastic_defect.constant_half_model status=pass value=0.5 bound=0.5 margin=0"
+        )
+
+    def test_failing_check_line(self):
+        check = Check("chsh.example", False, 0.75, 0.5)
+        assert check.margin == -0.25
+        assert check.line == "check=chsh.example status=FAIL value=0.75 bound=0.5 margin=-0.25"
 
 
 class TestOracle:
@@ -621,3 +634,10 @@ class TestUsageErrors:
     def test_unwritable_output(self, capsys):
         rc = main(["simulate", "--trials", "10", "--out", "/nonexistent_dir/run"])
         assert rc == 2
+
+    def test_empty_out_flag(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["simulate", "--trials", "10", "--out", ""])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: output")
+        assert list(tmp_path.iterdir()) == []
