@@ -39,6 +39,18 @@ check=stochastic_defect.deterministic_model status=pass value=0 bound=0 margin=0
 check=stochastic_defect.constant_half_model status=pass value=0.5 bound=0.5 margin=0
 suite=all overall=pass
 """,
+    7: """\
+check=chsh.sign_lhv_mc_grid status=pass value=0.5 bound=0.5 margin=0
+check=chsh.vertex_joint_distributions status=pass value=0.5 bound=0.5 margin=0
+check=chsh.singlet_violation status=pass value=0.707106781187 bound=0.707106781187 margin=1.11022302463e-16
+check=wigner.deterministic_holds status=pass value=1.38777878078e-16 bound=1e-12 margin=9.99861222122e-13
+check=wigner.quantum_violates status=pass value=0.5 bound=0.707106781187 margin=0.207106781187
+check=tsirelson.grid_max_norm status=pass value=0.707106781187 bound=0.707106781187 margin=0
+check=identity.max_residual status=pass value=1.66533453694e-16 bound=1e-12 margin=9.99833466546e-13
+check=stochastic_defect.deterministic_model status=pass value=0 bound=0 margin=0
+check=stochastic_defect.constant_half_model status=pass value=0.5 bound=0.5 margin=0
+suite=all overall=pass
+""",
     90210: """\
 check=chsh.sign_lhv_mc_grid status=pass value=0.5 bound=0.5 margin=0
 check=chsh.vertex_joint_distributions status=pass value=0.5 bound=0.5 margin=0
@@ -63,6 +75,16 @@ oracle=sign_model_quadrature_d=0.785398 value=-0.125
 oracle=hemi_average_quadrature_pi_over_3 value=0.4999999999999964
 oracle=vertex_joint_chsh_max value=0.5
 oracle=dirichlet_joint_chsh_max value=0.40764779257865924
+""",
+    7: """\
+oracle=singlet_expectation_pi_over_4 value=-0.17677669529663687
+oracle=chsh_operator_norm_numpy value=0.7071067811865475
+oracle=wigner_overlap_quadrature_pi_over_2 value=0.25
+oracle=sign_model_quadrature_d=1.570796 value=0.0
+oracle=sign_model_quadrature_d=0.785398 value=-0.125
+oracle=hemi_average_quadrature_pi_over_3 value=0.4999999999999964
+oracle=vertex_joint_chsh_max value=0.5
+oracle=dirichlet_joint_chsh_max value=0.426229903004136
 """,
     90210: """\
 oracle=singlet_expectation_pi_over_4 value=-0.17677669529663687
