@@ -298,11 +298,16 @@ class Check(NamedTuple):
         )
 
 
+def _vertex_chsh_max() -> float:
+    """The largest joint-distribution CHSH over the 16 deterministic vertices."""
+    return float(joint_distribution_chsh(np.stack([f for _, f in vertex_distributions()])).max())
+
+
 def verify_chsh(seed: int) -> list[Check]:
     model = DeterministicSignModel()
     grid = [Axis(k * math.pi / 4.0) for k in range(8)]
     report = check_bell_theorem(model, grid, 100_000, substream(seed, stream=101))
-    worst_vertex = max(joint_distribution_chsh(f) for _, f in vertex_distributions())
+    worst_vertex = _vertex_chsh_max()
     axes = [Axis(t) for t in OPTIMAL_AXES]
     singlet = chsh_value(*(singlet_expectation(axes[i], axes[j]) for _, i, j in PAIRS))
     return [
@@ -401,15 +406,11 @@ def run_oracle(seed: int) -> list[tuple[str, float]]:
             for d in (math.pi / 2.0, math.pi / 4.0)
         ),
         ("hemi_average_quadrature_pi_over_3", oracles.hemi_average_quadrature(math.pi / 3.0)),
-        # max of the joint-distribution CHSH over the 16 deterministic vertices
-        (
-            "vertex_joint_chsh_max",
-            max(joint_distribution_chsh(f) for _, f in vertex_distributions()),
-        ),
+        ("vertex_joint_chsh_max", _vertex_chsh_max()),
     ]
     # random-distribution sweep (Dirichlet) of the joint-distribution bound
     draws = substream(seed, stream=105).dirichlet(np.ones(16), size=10_000)
-    worst_random = max(joint_distribution_chsh(f) for f in draws.reshape(-1, 2, 2, 2, 2))
+    worst_random = float(joint_distribution_chsh(draws.reshape(-1, 2, 2, 2, 2)).max())
     return values + [("dirichlet_joint_chsh_max", worst_random)]
 
 

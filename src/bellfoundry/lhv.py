@@ -32,6 +32,22 @@ from .geometry import (
 
 _OUTCOME_SIGNS = (1, -1)
 
+# cos changes sign between each of these doubles and the next one up:
+# cos(fl(pi/2)) = +6.1e-17 and cos(fl(3pi/2)) = -1.8e-16.
+_COS_ZERO_1 = math.pi / 2.0
+_COS_ZERO_2 = 3.0 * math.pi / 2.0
+
+
+def _cos_nonneg(d: np.ndarray) -> np.ndarray:
+    """``np.cos(d) >= 0.0`` as a boolean mask, by exact thresholds when every |d| < 2*pi.
+
+    Any other input, NaN included, falls back to ``np.cos``.
+    """
+    mag = np.abs(d)
+    if not mag.max(initial=0.0) < TAU:
+        return np.cos(d) >= 0.0
+    return (mag <= _COS_ZERO_1) | (mag > _COS_ZERO_2)
+
 
 class HVModel(Protocol):
     """Contract for a factorizable hidden-variable model."""
@@ -58,15 +74,13 @@ class DeterministicSignModel:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(0.0, TAU, size=n)
 
-    @staticmethod
-    def _sign1(a: Axis, lam: np.ndarray) -> np.ndarray:
-        return np.where(np.cos(lam - a.theta) >= 0.0, 1, -1)
-
     def response1(self, sign: int, a: Axis, lam: np.ndarray) -> np.ndarray:
-        return (self._sign1(a, lam) == sign).astype(float)
+        plus = _cos_nonneg(lam - a.theta)
+        return (plus if sign > 0 else ~plus).astype(float)
 
     def response2(self, sign: int, b: Axis, lam: np.ndarray) -> np.ndarray:
-        return (self._sign1(b, lam) == -sign).astype(float)
+        plus = _cos_nonneg(lam - b.theta)
+        return (~plus if sign > 0 else plus).astype(float)
 
 
 class ConstantResponseModel:
@@ -102,9 +116,7 @@ def sample_model_counts(
     _check_normalized(model, a, b, lam[: min(n, 1024)])
     p1 = model.response1(1, a, lam)
     p2 = model.response2(1, b, lam)
-    s1 = np.where(rng.random(n) < p1, 1, -1)
-    s2 = np.where(rng.random(n) < p2, 1, -1)
-    return counts_from_signs(s1, s2)
+    return counts_from_signs(rng.random(n) < p1, rng.random(n) < p2)
 
 
 def sample_sign_model_counts(
@@ -119,7 +131,7 @@ def sample_sign_model_counts(
     call has a stream of its own, as engine batches do.
     """
     lam = rng.uniform(0.0, TAU, size=n)
-    return counts_from_signs(np.cos(lam - a.theta) >= 0.0, np.cos(lam - b.theta) < 0.0)
+    return counts_from_signs(_cos_nonneg(lam - a.theta), ~_cos_nonneg(lam - b.theta))
 
 
 def model_expectation(
@@ -195,24 +207,29 @@ def check_bell_theorem(
     return BellCheckReport(worst_value=worst_value, tolerance=worst_tol)
 
 
-def joint_distribution_chsh(f: np.ndarray) -> float:
-    """CHSH from a joint distribution over (A1, A1', B2, B2'); always <= 1/2.
+def joint_distribution_chsh(f: np.ndarray) -> float | np.ndarray:
+    """CHSH from joint distributions over (A1, A1', B2, B2'); always <= 1/2.
 
-    ``f`` has shape (2, 2, 2, 2) with index 0 meaning +1/2 and 1 meaning
-    -1/2.  The four pair expectations are recovered by marginalization and
-    the larger of the two sign patterns is returned.
+    ``f`` has shape (..., 2, 2, 2, 2), index 0 meaning +1/2 and 1 meaning
+    -1/2.  Each distribution's four pair expectations are recovered by
+    marginalization and the larger of the two sign patterns is returned,
+    as a float for one distribution and an array over the batch axes.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != (2, 2, 2, 2):
-        raise ValueError("joint distribution must have shape (2, 2, 2, 2)")
-    if (f < -1e-15).any() or abs(f.sum() - 1.0) > 1e-12:
+    if f.shape[-4:] != (2, 2, 2, 2):
+        raise ValueError("joint distribution must have shape (..., 2, 2, 2, 2)")
+    if (f < -1e-15).any() or (np.abs(f.sum(axis=(-4, -3, -2, -1)) - 1.0) > 1e-12).any():
         raise ValueError("joint distribution must be nonnegative and normalized")
     v = np.array([V_MAX, -V_MAX])
-    e_ab = np.einsum("i,k,ijkl->", v, v, f)
-    e_abp = np.einsum("i,l,ijkl->", v, v, f)
-    e_apb = np.einsum("j,k,ijkl->", v, v, f)
-    e_apbp = np.einsum("j,l,ijkl->", v, v, f)
-    return float(max(chsh_value(e_ab, e_abp, e_apb, e_apbp, s) for s in _OUTCOME_SIGNS))
+    e_ab = np.einsum("i,k,...ijkl->...", v, v, f)
+    e_abp = np.einsum("i,l,...ijkl->...", v, v, f)
+    e_apb = np.einsum("j,k,...ijkl->...", v, v, f)
+    e_apbp = np.einsum("j,l,...ijkl->...", v, v, f)
+    value = np.maximum(
+        np.abs(e_ab - e_abp) + np.abs(e_apb + e_apbp),
+        np.abs(e_ab + e_abp) + np.abs(e_apb - e_apbp),
+    )
+    return float(value) if f.ndim == 4 else value
 
 
 def vertex_distributions():

@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the closed forms it
 validates -- plain grids and Gauss-Legendre quadrature, no shared helper
-math -- so tests can compare the two routes.
+math -- so tests can compare the two routes.  Their sign decisions use ``np.cos``
+on purpose: they are the independent route for ``lhv``'s threshold rule.
 """
 
 from __future__ import annotations

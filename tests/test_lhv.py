@@ -3,8 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from bellfoundry.geometry import Axis, BELL_BOUND, MINUS, PLUS, empirical_expectation
+from bellfoundry.geometry import (
+    Axis,
+    BELL_BOUND,
+    MINUS,
+    PLUS,
+    TAU,
+    V_MAX,
+    counts_from_signs,
+    empirical_expectation,
+)
 from bellfoundry.lhv import (
+    _COS_ZERO_1,
+    _COS_ZERO_2,
+    _cos_nonneg,
     ConstantResponseModel,
     DeterministicSignModel,
     SubsetSpec,
@@ -42,6 +54,30 @@ class TestDeterministicSignModel:
                 a, b = Axis(ta), Axis(tb)
                 fast = sample_sign_model_counts(substream(seed, 20, k), a, b, n)
                 assert fast == sample_model_counts(model, a, b, n, substream(seed, 20, k))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_batch_kernel_equals_literal_cos_rule(self, seed):
+        pairs = [(0.0, math.pi / 2), (0.3, 1.1), (5.9, 4.2), (3 * math.pi / 2, 0.0)]
+        for k, (ta, tb) in enumerate(pairs):
+            a, b = Axis(ta), Axis(tb)
+            lam = substream(seed, 21, k).uniform(0.0, TAU, size=65_536)
+            expected = counts_from_signs(np.cos(lam - a.theta) >= 0.0, np.cos(lam - b.theta) < 0.0)
+            assert sample_sign_model_counts(substream(seed, 21, k), a, b, 65_536) == expected
+
+    def test_responses_equal_the_cos_sign_rule(self):
+        # lam beyond [0, 2*pi) sends the rule down its np.cos fallback
+        model = DeterministicSignModel()
+        for low, high in ((0.0, TAU), (-10.0, 20.0)):
+            lam = substream(30).uniform(low, high, 1000)
+            for theta in (0.0, math.pi / 2, 4.0):
+                old_sign = np.where(np.cos(lam - theta) >= 0.0, 1, -1)
+                for sign in (1, -1):
+                    np.testing.assert_array_equal(
+                        model.response1(sign, Axis(theta), lam), (old_sign == sign).astype(float)
+                    )
+                    np.testing.assert_array_equal(
+                        model.response2(sign, Axis(theta), lam), (old_sign == -sign).astype(float)
+                    )
 
     def test_responses_are_zero_one(self):
         model = DeterministicSignModel()
@@ -119,6 +155,79 @@ class TestBellTheorem:
             ConstantResponseModel(0.5), [Axis(0.0), Axis(1.0)], 50_000, substream(36)
         )
         assert report.worst_value < 10 * report.tolerance
+
+
+class TestCosNonneg:
+    """The exact threshold rule against the np.cos test it replaces."""
+
+    def test_cos_changes_sign_after_each_threshold(self):
+        assert np.cos(_COS_ZERO_1) >= 0.0 > np.cos(np.nextafter(_COS_ZERO_1, np.inf))
+        assert np.cos(_COS_ZERO_2) < 0.0 <= np.cos(np.nextafter(_COS_ZERO_2, np.inf))
+
+    def test_matches_cos_within_64_ulps_of_each_crossing(self):
+        points = []
+        for x in (_COS_ZERO_1, -_COS_ZERO_1, _COS_ZERO_2, -_COS_ZERO_2):
+            down = up = x
+            points.append(x)
+            for _ in range(64):
+                down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+                points += [down, up]
+        d = np.array(points)
+        assert d.size == 4 * 129
+        np.testing.assert_array_equal(_cos_nonneg(d), np.cos(d) >= 0.0)
+
+    def test_matches_cos_on_random_differences(self):
+        rng = substream(40)
+        d = rng.uniform(0.0, TAU, 1_000_000) - rng.uniform(0.0, TAU, 1_000_000)
+        np.testing.assert_array_equal(_cos_nonneg(d), np.cos(d) >= 0.0)
+
+    @pytest.mark.parametrize("bad", [TAU, 7.0, -7.0, np.inf, -np.inf, np.nan])
+    def test_falls_back_to_cos(self, bad):
+        d = np.array([0.1, 2.0, -4.0, 4.8, bad])
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(_cos_nonneg(d), np.cos(d) >= 0.0)
+
+
+def _joint_chsh_per_distribution(f):
+    """Reference: the four marginal einsums of one (2, 2, 2, 2) distribution."""
+    v = np.array([V_MAX, -V_MAX])
+    specs = ("i,k,ijkl->", "i,l,ijkl->", "j,k,ijkl->", "j,l,ijkl->")
+    es = [np.einsum(spec, v, v, f) for spec in specs]
+    return max(chsh_value(*es, sign_choice=s) for s in (1, -1))
+
+
+class TestBatchedJointDistribution:
+    @pytest.mark.parametrize("seed", [1, 7, 90210])
+    def test_batch_equals_per_distribution_formula(self, seed):
+        draws = substream(seed, 105).dirichlet(np.ones(16), size=10_000).reshape(-1, 2, 2, 2, 2)
+        batch = joint_distribution_chsh(draws)
+        assert batch.shape == (10_000,)
+        np.testing.assert_array_equal(batch, [_joint_chsh_per_distribution(f) for f in draws])
+
+    def test_vertices_batch_equals_per_distribution_formula(self):
+        vertices = np.stack([f for _, f in vertex_distributions()])
+        expected = [_joint_chsh_per_distribution(f) for f in vertices]
+        np.testing.assert_array_equal(joint_distribution_chsh(vertices), expected)
+        grid = joint_distribution_chsh(vertices.reshape(4, 4, 2, 2, 2, 2))
+        np.testing.assert_array_equal(grid, np.reshape(expected, (4, 4)))
+
+    @pytest.mark.parametrize("value", [-1e-3, 0.5])
+    def test_one_bad_row_rejects_the_batch(self, value):
+        draws = substream(41).dirichlet(np.ones(16), size=100).reshape(-1, 2, 2, 2, 2)
+        draws[37, 1, 0, 1, 0] = value
+        with pytest.raises(ValueError, match="nonnegative and normalized"):
+            joint_distribution_chsh(draws)
+
+    @pytest.mark.parametrize("shape", [(16,), (2, 2, 2), (3, 2, 2, 2, 4), (2, 2, 2, 4)])
+    def test_wrong_trailing_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            joint_distribution_chsh(np.full(shape, 1.0 / np.prod(shape[-4:])))
+
+    def test_single_distribution_returns_a_python_float(self):
+        # ``oracle`` prints with repr, which shows an np.float64 as np.float64(...)
+        f = substream(42).dirichlet(np.ones(16)).reshape(2, 2, 2, 2)
+        assert type(joint_distribution_chsh(f)) is float
+        assert joint_distribution_chsh(f) == _joint_chsh_per_distribution(f)
 
 
 class TestJointDistribution:
