@@ -222,7 +222,12 @@ def run_simulate(config: dict) -> dict:
             )
         value = chsh_value(*(e.value for e in estimates), sign_choice=sign)
         std = chsh_std_error([e.std_error for e in estimates])
-        flag = "Bell bound violated" if value > BELL_BOUND + 5.0 * std else "bound respected"
+        if math.isnan(std):
+            flag = "undetermined"
+        elif value > BELL_BOUND + 5.0 * std:
+            flag = "Bell bound violated"
+        else:
+            flag = "bound respected"
         runs.append(
             {
                 "run_id": run_id,

@@ -84,5 +84,5 @@ def run_pair_counts(
 
 
 def chsh_std_error(std_errors) -> float:
-    """Combined standard error of a CHSH sum of four estimates."""
-    return math.sqrt(sum(0.0 if math.isnan(s) else s * s for s in std_errors))
+    """Combined standard error of a CHSH sum of four estimates; NaN if any is NaN."""
+    return math.sqrt(sum(s * s for s in std_errors))

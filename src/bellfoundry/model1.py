@@ -177,5 +177,4 @@ def sample_pointwise_rule_counts(
     """
     j = sample_unit_vectors(rng, n)
     j = np.where((j @ a.unit_vector >= 0.0)[:, None], j, -j)  # restrict to +a
-    s_b = np.where(j @ b.unit_vector >= 0.0, 1, -1)
-    return counts_from_signs(np.ones(n, dtype=int), s_b)
+    return counts_from_signs(np.ones(n, dtype=bool), j @ b.unit_vector >= 0.0)

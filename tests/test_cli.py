@@ -130,8 +130,9 @@ GOLDEN_REPORT_SHA256 = {
     ),
 }
 
-# One trial per pair leaves every pair's std error NaN: "nan" in the
-# summary CSV, null in the JSON.  Integer axes are written as given.
+# One trial per pair leaves every pair's std error NaN, and so the CHSH
+# std error: "nan" in the summary CSV, null in the JSON, and the flag is
+# "undetermined".  Integer axes are written as given.
 GOLDEN_SINGLE_TRIAL_CONFIG = {
     "axes": [[0, 1, 2, 3], [0.3, 5.9, 1.1, 4.2]],
     "trials": 1,
@@ -142,23 +143,23 @@ GOLDEN_SINGLE_TRIAL_CONFIG = {
 GOLDEN_SINGLE_TRIAL_SHA256 = {
     "quantum": (
         "d110c8c4749e2d861e38642b8efedcc9cecc6ccdb50065d75ad2c005cf2b12a8",
-        "7c89637de42cc47bea8576ffb2d12e1e92b59372d9c05f4ed789b571fe552381",
-        "23bd94c7f4a29735d87a9a14dc2d83355df2406260ed51c65bbfb4ffd5105d10",
+        "d8432cf263b392e9bd81cb3fff54b05da0000c9a640c4a812cc62f3fbcf15eba",
+        "e2e065b7fdf80aeb271f9a92464ef8c670a9f88919363f616b3414e54918dbcb",
     ),
     "sign-lhv": (
         "40403034926733614a8e3bb40cd084a7b12a9c62053db77aa6fae7082e21c101",
-        "5f6d78fbaccf0b16d19f6f76cbc71dfd683babd5ca4ef2630ad18980e7bc4cad",
-        "960d32cc72138221f76f0492d4558bd62456cbd56ee6dd2ac3ff82b454f017b4",
+        "43f8ef7fd6ea51c27d979f630039618079cd9bc527cc8ce755349aa8258e850a",
+        "5f75b356cde09135f62610ea02c8913305b1384c3e16753fa6568b61eae1efd7",
     ),
     "model1": (
         "85aab0bd2114bb1229d4fd7ae88fbc0fd1e1a08d884de7bc42ea7b53ff8bb9ac",
-        "d12a356f0f067a0b45dab38440df66e5f4000fd8b9a58a300069bb0654a226ae",
-        "8aa13d806ac377dc4e5858ac5b490924681591fda9beffd4e67174615202432a",
+        "b2f0d82f9fe35b98d6db1c30082d6f07a18201f32632b1d9fbaaeb1044f3211a",
+        "11efe541e4ce28d33b00db5a25a9456f57ec7d49e8406f50fbab88d58d8a0e57",
     ),
     "model2": (
         "85aab0bd2114bb1229d4fd7ae88fbc0fd1e1a08d884de7bc42ea7b53ff8bb9ac",
-        "d12a356f0f067a0b45dab38440df66e5f4000fd8b9a58a300069bb0654a226ae",
-        "738541d387976f792305c705a8c675a6e2d8993c5dcbd83f8777cf1e17f39093",
+        "b2f0d82f9fe35b98d6db1c30082d6f07a18201f32632b1d9fbaaeb1044f3211a",
+        "4919f64213473658aba7a2ccb2a4a30636eb2efb5e2c187a41323a46d49abee5",
     ),
 }
 
@@ -502,9 +503,12 @@ class TestGoldenReports:
         config = {"model": model, **GOLDEN_SINGLE_TRIAL_CONFIG}
         assert _report_digests(tmp_path, config, 1) == GOLDEN_SINGLE_TRIAL_SHA256[model]
         rows = (tmp_path / "run_summary.csv").read_text().splitlines()[1:]
-        assert all(row.endswith(",nan") for row in rows if ":chsh," not in row)
+        assert all(row.endswith(",nan") for row in rows)
+        assert [row.split(",")[0] for row in rows if ":chsh," in row] == ["0:chsh", "1:chsh"]
         report = json.loads((tmp_path / "run_report.json").read_text())
         assert all(pair["std_error"] is None for run in report["runs"] for pair in run["pairs"])
+        assert all(run["chsh_std_error"] is None for run in report["runs"])
+        assert [run["flag"] for run in report["runs"]] == ["undetermined", "undetermined"]
 
 
 class TestEngine:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellfoundry import geometry, model1, model2
 from bellfoundry.geometry import (
     Axis,
     MINUS,
@@ -12,6 +13,7 @@ from bellfoundry.geometry import (
     V_MAX,
     counts_from_signs,
     empirical_expectation,
+    hemisphere_pair_signs,
     sample_unit_vectors,
     wrap_delta,
 )
@@ -151,3 +153,105 @@ class TestSampleUnitVectors:
         assert np.array_equal(
             sample_unit_vectors(substream(5), 1), v / np.linalg.norm(v, axis=1, keepdims=True)
         )
+
+
+class RowDraws:
+    """A generator stub: the given Gaussian rows, then evenly spread uniforms."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=float).reshape(-1, 3)
+
+    def standard_normal(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
+
+    def random(self, n):
+        return (np.arange(n) + 0.5) / n
+
+
+def normalized_route(rng, a_unit, p_plus_if_plus, p_plus_if_minus, n):
+    """The kernel's law with the hemisphere read from the normalized draws."""
+    plus1 = sample_unit_vectors(rng, n) @ a_unit >= 0.0
+    u = rng.random(n)
+    return plus1, np.where(plus1, u < p_plus_if_plus, u < p_plus_if_minus)
+
+
+def assert_kernel_equals_normalized_route(rng_factory, a_unit, n):
+    with np.errstate(all="ignore"):  # zero, tiny, huge and NaN rows warn on either route
+        got = hemisphere_pair_signs(rng_factory(), a_unit, 0.3, 0.8, n)
+        expected = normalized_route(rng_factory(), a_unit, 0.3, 0.8, n)
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+    return expected[0]
+
+
+def rows_where_raw_sign_differs(theta, count=64):
+    """Rows in the plane normal to a, nudged by a few 1e-17 along a, whose
+    raw sign (v @ a >= 0) differs from the normalized route's sign."""
+    a = Axis(theta).unit_vector
+    rng = substream(8, 5)
+    p = rng.standard_normal((20_000, 3))
+    p -= (p @ a)[:, None] * a
+    v = p + (rng.integers(-4, 5, 20_000) * 1e-17)[:, None] * a
+    differs = (v @ a >= 0.0) != (sample_unit_vectors(RowDraws(v), len(v)) @ a >= 0.0)
+    assert np.count_nonzero(differs) >= count
+    return v[differs][:count]
+
+
+class TestHemispherePairSigns:
+    @pytest.mark.parametrize("theta", [0.7, 2.1, 4.0])
+    def test_rows_in_the_guard_band_take_the_normalized_sign(self, theta):
+        a = Axis(theta).unit_vector
+        rows = rows_where_raw_sign_differs(theta)
+        plus1 = assert_kernel_equals_normalized_route(lambda: RowDraws(rows), a, len(rows))
+        assert not np.any(plus1 == (rows @ a >= 0.0))
+
+    def test_one_row_in_the_guard_band_sends_the_whole_batch_to_the_normalized_route(self):
+        a = Axis(0.7).unit_vector
+        rows = substream(9).standard_normal((65_536, 3))
+        rows[40_000] = rows_where_raw_sign_differs(0.7, 1)[0]
+        assert_kernel_equals_normalized_route(lambda: RowDraws(rows), a, len(rows))
+
+    def test_exact_zero_dot_and_zero_rows(self):
+        # boundary rows (dot exactly +-0) count as +; an all-zero row
+        # normalizes to NaN and stays -, as it always was
+        rows = [[0.3, -1.2, 0.0], [1.0, 0.5, -0.0], [0.0, 0.0, 0.0], [0.2, 0.1, -0.9]]
+        z = Axis(0.0).unit_vector
+        plus1 = assert_kernel_equals_normalized_route(lambda: RowDraws(rows), z, 4)
+        assert plus1.tolist() == [True, True, False, False]
+
+    @pytest.mark.parametrize(
+        "row, plus",
+        [
+            # squares underflow, the norm is 0 and the normalized row is NaN: -
+            ([0.0, 0.0, 2.0**-600], False),
+            ([0.0, 0.0, 2.0**-1000], False),
+            # squares overflow, the norm is inf and the normalized row is -0.0: +
+            ([0.0, 0.0, -(2.0**600)], True),
+            ([math.nan, 0.0, 1.0], False),
+            ([math.inf, 0.0, 1.0], False),
+        ],
+    )
+    def test_rows_outside_the_proof_take_the_normalized_route(self, row, plus):
+        z = Axis(0.0).unit_vector
+        plus1 = assert_kernel_equals_normalized_route(lambda: RowDraws(row), z, 1)
+        assert plus1.tolist() == [plus]
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi, 5e-324, 0.7])
+    @pytest.mark.parametrize("seed", [1, 90210])
+    def test_random_batches_equal_the_normalized_route(self, theta, seed):
+        assert_kernel_equals_normalized_route(
+            lambda: substream(seed, 4), Axis(theta).unit_vector, 65_536
+        )
+
+    def test_random_batches_skip_the_normalization(self, monkeypatch):
+        def normalization_called(v):
+            raise AssertionError("normalized route taken")
+
+        monkeypatch.setattr(geometry, "_unit_rows", normalization_called)
+        for theta in (0.0, math.pi / 2, 5e-324, 2.1):
+            hemisphere_pair_signs(substream(3, 4), Axis(theta).unit_vector, 0.3, 0.8, 65_536)
+
+    @pytest.mark.parametrize("sampler", [model1.sample_trial_counts, model2.sample_trial_counts])
+    def test_empty_batch(self, sampler):
+        assert sampler(substream(1), Axis(0.3), Axis(1.1), 0) == PairCounts(0, 0, 0, 0)
