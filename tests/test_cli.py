@@ -98,6 +98,78 @@ oracle=dirichlet_joint_chsh_max value=0.4008609366538811
 """,
 }
 
+# Exact `scan` stdout by (model, grid): pins the printed best_axes as well as the value.
+GOLDEN_SCAN = {
+    ("quantum", 2): (
+        "model=quantum best_axes=(0.0, 0.0, 0.0, 0.0)"
+        " sign=+ chsh=0.5000000000 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("quantum", 7): (
+        "model=quantum best_axes=(0.0, 1.7951958021, 0.897597901, 2.6927937031)"
+        " sign=+ chsh=0.6928595684 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("quantum", 16): (
+        "model=quantum best_axes=(0.0, 1.5707963268, 0.7853981634, 2.3561944902)"
+        " sign=+ chsh=0.7071067812 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("quantum", 64): (
+        "model=quantum best_axes=(0.0, 1.5707963268, 0.7853981634, 2.3561944902)"
+        " sign=+ chsh=0.7071067812 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("sign-lhv", 2): (
+        "model=sign-lhv best_axes=(0.0, 0.0, 0.0, 0.0)"
+        " sign=+ chsh=0.5000000000 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("sign-lhv", 7): (
+        "model=sign-lhv best_axes=(0.0, 0.0, 0.0, 0.0)"
+        " sign=+ chsh=0.5000000000 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("sign-lhv", 16): (
+        "model=sign-lhv best_axes=(0.0, 0.3926990817, 3.1415926536, 5.1050880621)"
+        " sign=+ chsh=0.5000000000 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("sign-lhv", 64): (
+        "model=sign-lhv best_axes=(0.0, 0.687223393, 3.239767424, 5.1050880621)"
+        " sign=+ chsh=0.5000000000 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("model1", 2): (
+        "model=model1 best_axes=(0.0, 0.0, 0.0, 0.0)"
+        " sign=+ chsh=0.5000000000 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("model1", 7): (
+        "model=model1 best_axes=(0.0, 1.7951958021, 0.897597901, 2.6927937031)"
+        " sign=+ chsh=0.6928595684 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("model1", 16): (
+        "model=model1 best_axes=(0.0, 1.5707963268, 0.7853981634, 2.3561944902)"
+        " sign=+ chsh=0.7071067812 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("model1", 64): (
+        "model=model1 best_axes=(0.0, 1.5707963268, 0.7853981634, 2.3561944902)"
+        " sign=+ chsh=0.7071067812 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("model2", 2): (
+        "model=model2 best_axes=(0.0, 0.0, 0.0, 0.0)"
+        " sign=+ chsh=0.5000000000 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("model2", 7): (
+        "model=model2 best_axes=(0.0, 1.7951958021, 0.897597901, 2.6927937031)"
+        " sign=+ chsh=0.6928595684 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("model2", 16): (
+        "model=model2 best_axes=(0.0, 1.5707963268, 0.7853981634, 2.3561944902)"
+        " sign=+ chsh=0.7071067812 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("model2", 64): (
+        "model=model2 best_axes=(0.0, 1.5707963268, 0.7853981634, 2.3561944902)"
+        " sign=+ chsh=0.7071067812 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+    ("quantum", 192): (
+        "model=quantum best_axes=(0.0, 4.7123889804, 3.926990817, 5.4977871438)"
+        " sign=+ chsh=0.7071067812 bell_bound=0.5 tsirelson_bound=0.7071067812\n"
+    ),
+}
+
 # sha256 of the three simulate files for GOLDEN_REPORT_CONFIG at threads 1
 # and 2.  The trial count leaves a ragged last batch (2 full + 17).  Any
 # change to a drawn number or to the report format must update these.
@@ -556,6 +628,11 @@ class TestScan:
         rc = main(["scan", "--model", "quantum", "--grid", "8"])
         assert rc == 0
         assert "best_axes=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model,grid", sorted(GOLDEN_SCAN))
+    def test_golden_stdout(self, capsys, model, grid):
+        assert main(["scan", "--model", model, "--grid", str(grid)]) == 0
+        assert capsys.readouterr().out == GOLDEN_SCAN[(model, grid)]
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
