@@ -29,17 +29,16 @@ CountSampler = Callable[[np.random.Generator, Axis, Axis, int], PairCounts]
 class ModelRunner:
     """A registered model: a vectorized trial sampler plus its closed form."""
 
-    name: str
     sample_counts: CountSampler
     analytic_expectation: Callable[[Axis, Axis], float]
 
 
 MODELS = {
-    "quantum": ModelRunner("quantum", sample_singlet_counts, singlet_expectation),
-    "sign-lhv": ModelRunner("sign-lhv", sample_sign_model_counts, sign_model_expectation_analytic),
+    "quantum": ModelRunner(sample_singlet_counts, singlet_expectation),
+    "sign-lhv": ModelRunner(sample_sign_model_counts, sign_model_expectation_analytic),
     # both EPR models reproduce the singlet law, so the quantum closed form applies
-    "model1": ModelRunner("model1", model1.sample_trial_counts, singlet_expectation),
-    "model2": ModelRunner("model2", model2.sample_trial_counts, singlet_expectation),
+    "model1": ModelRunner(model1.sample_trial_counts, singlet_expectation),
+    "model2": ModelRunner(model2.sample_trial_counts, singlet_expectation),
 }
 
 

@@ -49,6 +49,32 @@ class Axis:
         return np.array([math.sin(self.theta), 0.0, math.cos(self.theta)])
 
 
+@dataclass(frozen=True)
+class Hemisphere:
+    """Half of the unit sphere centered on a coplanar axis.
+
+    The + hemisphere of an axis a is centred on a, the - hemisphere on
+    a + pi.  The boundary circle r.axis = 0 belongs to the + hemisphere.
+    """
+
+    axis: Axis
+    sign: int
+
+    def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+
+    @property
+    def effective_angle(self) -> float:
+        """Angle of the hemisphere's own center axis."""
+        return self.axis.theta + (0.0 if self.sign > 0 else math.pi)
+
+    def contains(self, r: np.ndarray) -> np.ndarray:
+        """Membership of a point, or of each row of an (n, 3) array; NaN is in neither."""
+        proj = np.asarray(r) @ self.axis.unit_vector
+        return proj >= 0.0 if self.sign > 0 else proj < 0.0
+
+
 def wrap_angle(delta: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     wrapped = math.fmod(delta, TAU)

@@ -21,6 +21,7 @@ from .geometry import (
     Axis,
     BELL_BOUND,
     ExpectationEstimate,
+    Hemisphere,
     PairCounts,
     TAU,
     V_MAX,
@@ -260,35 +261,32 @@ def stochastic_defect(model: HVModel, a: Axis, n: int, rng: np.random.Generator)
 class SubsetSpec:
     """An intersection of outcome subsets, e.g. (+a) & (-a').
 
-    Each clause is (axis, sign); lam belongs to the clause when the
-    model's deterministic particle-1 response for that signed outcome is 1.
+    Built from (axis, sign) pairs, each kept as a Hemisphere clause; lam
+    belongs to the clause when the model's deterministic particle-1
+    response for that signed outcome is 1.
     """
 
     clauses: tuple
 
     def __init__(self, clauses):
-        clauses = tuple((axis, int(sign)) for axis, sign in clauses)
+        clauses = tuple(Hemisphere(axis, sign) for axis, sign in clauses)
         if not clauses:
             raise ValueError("subset spec needs at least one clause")
-        for _, sign in clauses:
-            if sign not in (1, -1):
-                raise ValueError("clause sign must be +1 or -1")
         object.__setattr__(self, "clauses", clauses)
 
 
 def _arc_intersection_length(clauses) -> float:
     """Length of the intersection of half-circle arcs, one per clause.
 
-    The clause (axis, s) selects the closed half-circle centered at
-    theta_axis for s = +1 and at theta_axis + pi for s = -1.  Intersecting
-    a connected arc of width <= pi with a half-circle stays connected, so
-    the clauses can be folded in one at a time.
+    Each Hemisphere clause selects the closed half-circle centered at its
+    effective angle.  Intersecting a connected arc of width <= pi with a
+    half-circle stays connected, so the clauses can be folded in one at a
+    time.
     """
-    first_axis, first_sign = clauses[0]
-    center = first_axis.theta + (0.0 if first_sign > 0 else math.pi)
+    center = clauses[0].effective_angle
     lo, hi = -math.pi / 2.0, math.pi / 2.0  # arc relative to center
-    for axis, sign in clauses[1:]:
-        c = wrap_angle(axis.theta + (0.0 if sign > 0 else math.pi) - center)
+    for clause in clauses[1:]:
+        c = wrap_angle(clause.effective_angle - center)
         lo = max(lo, c - math.pi / 2.0)
         hi = min(hi, c + math.pi / 2.0)
         if hi <= lo:
@@ -301,6 +299,22 @@ def _require_deterministic(model: HVModel, lam: np.ndarray, axes) -> None:
         p = model.response1(1, axis, lam)
         if not np.isin(p, (0.0, 1.0)).all():
             raise ValueError("measure undefined for stochastic models")
+
+
+def _mc_measures(model: HVModel, specs, n: int, rng: np.random.Generator | None) -> list:
+    """MC measures of several subsets, all scored on one sample of n draws of lam."""
+    if rng is None or n <= 0:
+        raise ValueError("MC mode needs a positive n and an rng")
+    lam = model.sample(rng, n)
+    axes = dict.fromkeys(clause.axis for spec in specs for clause in spec.clauses)
+    _require_deterministic(model, lam[: min(n, 1024)], axes)
+    measures = []
+    for spec in specs:
+        member = np.ones(n, dtype=bool)
+        for clause in spec.clauses:
+            member &= model.response1(clause.sign, clause.axis, lam) == 1.0
+        measures.append(float(member.mean()))
+    return measures
 
 
 def wigner_measure(
@@ -321,14 +335,7 @@ def wigner_measure(
             raise ValueError("analytic measure supported for DeterministicSignModel only")
         return _arc_intersection_length(spec.clauses) / TAU
     if mode == "mc":
-        if rng is None or n <= 0:
-            raise ValueError("MC mode needs a positive n and an rng")
-        lam = model.sample(rng, n)
-        _require_deterministic(model, lam[: min(n, 1024)], [axis for axis, _ in spec.clauses])
-        member = np.ones(n, dtype=bool)
-        for axis, sign in spec.clauses:
-            member &= model.response1(sign, axis, lam) == 1.0
-        return float(member.mean())
+        return _mc_measures(model, [spec], n, rng)[0]
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -350,12 +357,21 @@ def wigner_inequality_check(
     """Set-measure inequality M(+a' & +b) >= M(+a & +b) - M(+a & -a').
 
     Holds for every deterministic factorizable model; returns
-    (lhs, rhs, holds).
+    (lhs, rhs, holds).  MC mode scores all three subsets on one sample of
+    lam, and (+a & +b) is inside (+a' & +b) | (+a & -a') for every lam, so
+    there the inequality holds exactly, up to the rounding of the division
+    by n.
     """
-    lhs = wigner_measure(model, SubsetSpec([(ap, 1), (b, 1)]), mode, n, rng)
-    rhs = wigner_measure(model, SubsetSpec([(a, 1), (b, 1)]), mode, n, rng) - wigner_measure(
-        model, SubsetSpec([(a, 1), (ap, -1)]), mode, n, rng
-    )
+    specs = [
+        SubsetSpec([(ap, 1), (b, 1)]),
+        SubsetSpec([(a, 1), (b, 1)]),
+        SubsetSpec([(a, 1), (ap, -1)]),
+    ]
+    if mode == "mc":
+        lhs, m_ab, m_aap = _mc_measures(model, specs, n, rng)
+    else:
+        lhs, m_ab, m_aap = (wigner_measure(model, spec, mode) for spec in specs)
+    rhs = m_ab - m_aap
     return lhs, rhs, lhs >= rhs - tolerance
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .geometry import (
     Axis,
+    Hemisphere,
     PairCounts,
     V_MAX,
     counts_from_signs,
@@ -48,30 +49,6 @@ class AngularMomentum:
 
 
 @dataclass(frozen=True)
-class EnsembleLabel:
-    """Either the uniform pair distribution or one hemisphere ensemble."""
-
-    kind: str
-    axis: Axis | None = None
-    sign: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "hemisphere"):
-            raise ValueError("kind must be 'uniform' or 'hemisphere'")
-        if self.kind == "hemisphere":
-            if self.axis is None or self.sign not in (1, -1):
-                raise ValueError("hemisphere label needs an axis and a sign")
-
-
-def uniform_label() -> EnsembleLabel:
-    return EnsembleLabel(kind="uniform")
-
-
-def hemisphere(axis: Axis, sign: int) -> EnsembleLabel:
-    return EnsembleLabel(kind="hemisphere", axis=axis, sign=sign)
-
-
-@dataclass(frozen=True)
 class PairConfiguration:
     """Two angular momenta with exact total-momentum conservation."""
 
@@ -89,30 +66,23 @@ def sample_pair(rng: np.random.Generator) -> PairConfiguration:
     return PairConfiguration(AngularMomentum(j1), AngularMomentum(-j1))
 
 
-def _effective_angle(label: EnsembleLabel) -> float:
-    # the negative hemisphere of axis a is the positive hemisphere of a + pi
-    return label.axis.theta + (0.0 if label.sign > 0 else math.pi)
-
-
-def single_measure_prob(label: EnsembleLabel, b: Axis) -> tuple:
+def single_measure_prob(label: Hemisphere, b: Axis) -> tuple:
     """(P_plus, P_minus) for an outcome along b under a hemisphere ensemble.
 
     P(R_b = +1/2) = (cos(theta_b - theta_ensemble) + 1) / 2, the unique
     law whose outcome average matches the mean projection of the ensemble.
     """
-    if label.kind != "hemisphere":
-        raise ValueError("single-particle law needs a hemisphere ensemble")
-    p_plus = (math.cos(b.theta - _effective_angle(label)) + 1.0) / 2.0
+    p_plus = (math.cos(b.theta - label.effective_angle) + 1.0) / 2.0
     return p_plus, 1.0 - p_plus
 
 
 def measure_single(
-    rng: np.random.Generator, label: EnsembleLabel, b: Axis
+    rng: np.random.Generator, label: Hemisphere, b: Axis
 ) -> tuple:
     """Sample one outcome along b; subsequent measurements see the b ensemble."""
     p_plus, _ = single_measure_prob(label, b)
     sign = 1 if rng.random() < p_plus else -1
-    return outcome_from_sign(sign), hemisphere(b, sign)
+    return outcome_from_sign(sign), Hemisphere(b, sign)
 
 
 def epr_trial(
@@ -129,8 +99,8 @@ def epr_trial(
         raise ValueError("first_particle must be 1 or 2")
     pair = sample_pair(rng)
     measured = pair.j1 if first_particle == 1 else pair.j2
-    s1 = 1 if float(measured.direction @ a.unit_vector) >= 0.0 else -1
-    p_plus, _ = single_measure_prob(hemisphere(a, -s1), b)
+    s1 = 1 if Hemisphere(a, 1).contains(measured.direction) else -1
+    p_plus, _ = single_measure_prob(Hemisphere(a, -s1), b)
     s2 = 1 if rng.random() < p_plus else -1
     r_first = outcome_from_sign(s1)
     r_second = outcome_from_sign(s2)
@@ -145,7 +115,7 @@ def sample_trial_counts(
     """Vectorized batch of epr_trial outcomes tallied into PairCounts."""
     if first_particle not in (1, 2):
         raise ValueError("first_particle must be 1 or 2")
-    # partner ensemble is hemisphere(a, -s1): P(+) = (1 - s1 * cos d) / 2
+    # partner ensemble is Hemisphere(a, -s1): P(+) = (1 - s1 * cos d) / 2
     cos_d = math.cos(wrap_delta(a, b))
     plus1, plus2 = hemisphere_pair_signs(
         rng, a.unit_vector, (1.0 - cos_d) / 2.0, (1.0 + cos_d) / 2.0, n
@@ -176,5 +146,5 @@ def sample_pointwise_rule_counts(
     construction), the second is sign(J.b); only the second is physical.
     """
     j = sample_unit_vectors(rng, n)
-    j = np.where((j @ a.unit_vector >= 0.0)[:, None], j, -j)  # restrict to +a
-    return counts_from_signs(np.ones(n, dtype=bool), j @ b.unit_vector >= 0.0)
+    j = np.where(Hemisphere(a, 1).contains(j)[:, None], j, -j)  # restrict to +a
+    return counts_from_signs(np.ones(n, dtype=bool), Hemisphere(b, 1).contains(j))

@@ -28,6 +28,7 @@ import numpy as np
 
 from .geometry import (
     Axis,
+    Hemisphere,
     Outcome,
     PairCounts,
     counts_from_signs,
@@ -38,30 +39,6 @@ from .geometry import (
 )
 
 SPHERE_RADIUS = 1.0
-
-
-@dataclass(frozen=True)
-class Hemisphere:
-    """Half of the unit sphere centered on a coplanar axis.
-
-    The boundary circle r.axis = 0 belongs to the + hemisphere.
-    """
-
-    axis: Axis
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    @property
-    def effective_angle(self) -> float:
-        """Angle of the hemisphere's own center axis."""
-        return self.axis.theta + (0.0 if self.sign > 0 else math.pi)
-
-    def contains(self, r: np.ndarray) -> np.ndarray:
-        proj = np.asarray(r) @ self.axis.unit_vector
-        return proj * self.sign >= 0.0 if self.sign > 0 else proj * self.sign > 0.0
 
 
 @dataclass(frozen=True)
@@ -176,13 +153,10 @@ def rhs_particle_prob(u: Axis, a: Axis, sign: int) -> float:
     """Particle-hemisphere probability inside the decomposed field.
 
     After rewriting F(+a) on the u hemispheres the particle distribution
-    follows the term weights: P(U = sign/2) = cos((theta_u - theta_a)/2
-    + (pi/4)(1 - sign))**2.
+    follows the term weights: P(U = sign/2) = cos((theta_c - theta_a)/2)**2,
+    with theta_c the center of the signed u hemisphere.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    shift = 0.0 if sign > 0 else math.pi / 2.0
-    return math.cos((u.theta - a.theta) / 2.0 + shift) ** 2
+    return math.cos((Hemisphere(u, sign).effective_angle - a.theta) / 2.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -199,7 +173,7 @@ def _rotated_average(field_angle: float, meas: Axis, outcome_sign: int) -> float
     axis; the average is cos of half the angle from the field axis to the
     outcome's apparatus axis.
     """
-    outcome_angle = meas.theta + (0.0 if outcome_sign > 0 else math.pi)
+    outcome_angle = Hemisphere(meas, outcome_sign).effective_angle
     return math.cos((outcome_angle - field_angle) / 2.0)
 
 
@@ -243,7 +217,7 @@ def epr_trial_model2(rng: np.random.Generator, first_axis: Axis, second_axis: Ax
     """
     f = TwoPartyField(first_axis)
     r1 = sample_unit_vectors(rng, 1)[0]
-    s1 = 1 if float(r1 @ first_axis.unit_vector) >= 0.0 else -1
+    s1 = 1 if Hemisphere(first_axis, 1).contains(r1) else -1
     p_plus, _ = conditional_inference(f, first_axis, outcome_from_sign(s1), second_axis)
     s2 = 1 if rng.random() < p_plus else -1
     return outcome_from_sign(s1), outcome_from_sign(s2)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from bellfoundry import geometry, model1, model2
+from bellfoundry.lhv import SubsetSpec
 from bellfoundry.geometry import (
     Axis,
+    Hemisphere,
     MINUS,
     Outcome,
     PLUS,
@@ -54,6 +56,46 @@ class TestWrapDelta:
         backward = wrap_delta(b, a)
         assert (forward + backward) % (2 * math.pi) == pytest.approx(0.0, abs=1e-12)
         assert math.cos(forward) == pytest.approx(math.cos(backward), abs=1e-15)
+
+
+class TestHemisphere:
+    def test_effective_angle(self):
+        for theta in (0.0, 0.3, 5.0):
+            assert Hemisphere(Axis(theta), 1).effective_angle == theta
+            assert Hemisphere(Axis(theta), -1).effective_angle == theta + math.pi
+
+    @pytest.mark.parametrize("sign", [0, 2, 1.5])
+    def test_rejects_other_signs(self, sign):
+        with pytest.raises(ValueError):
+            Hemisphere(Axis(0.0), sign)
+
+    def test_subset_spec_rejects_fractional_sign(self):
+        with pytest.raises(ValueError):
+            SubsetSpec([(Axis(0.0), 1.5)])
+
+    def test_poles_and_boundary(self):
+        plus, minus = Hemisphere(Axis(0.0), 1), Hemisphere(Axis(0.0), -1)
+        rows = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        # the boundary r.a = 0 (last two rows) belongs to + only
+        assert plus.contains(rows).tolist() == [True, False, True, True]
+        assert minus.contains(rows).tolist() == [False, True, False, False]
+        for row, in_plus in zip(rows, [True, False, True, True]):
+            assert plus.contains(row) == in_plus
+            assert minus.contains(row) == (not in_plus)
+
+    def test_negative_zero_and_nan_projections(self):
+        plus, minus = Hemisphere(Axis(0.0), 1), Hemisphere(Axis(0.0), -1)
+        # object rows keep the -0.0 that a float dot product would round to +0.0
+        neg_zero = np.array([-0.0, -0.0, -0.0], dtype=object)
+        assert math.copysign(1.0, neg_zero @ Axis(0.0).unit_vector) == -1.0
+        assert plus.contains(neg_zero) and not minus.contains(neg_zero)
+        assert plus.contains(np.array([neg_zero, neg_zero])).tolist() == [True, True]
+        assert minus.contains(np.array([neg_zero, neg_zero])).tolist() == [False, False]
+        nan_row = np.array([0.0, 0.0, math.nan])
+        assert not plus.contains(nan_row) and not minus.contains(nan_row)
+        nan_rows = np.array([nan_row, [0.0, 0.0, 1.0]])
+        assert plus.contains(nan_rows).tolist() == [False, True]
+        assert minus.contains(nan_rows).tolist() == [False, False]
 
 
 class TestOutcome:

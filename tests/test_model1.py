@@ -3,19 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from bellfoundry.geometry import Axis, counts_from_signs, empirical_expectation, wrap_delta
+from bellfoundry.geometry import (
+    Axis,
+    Hemisphere,
+    counts_from_signs,
+    empirical_expectation,
+    wrap_delta,
+)
 from bellfoundry.model1 import (
     AngularMomentum,
     PairConfiguration,
     epr_trial,
-    hemisphere,
     measure_single,
     pointwise_rule_expectation,
     sample_pair,
     sample_pointwise_rule_counts,
     sample_trial_counts,
     single_measure_prob,
-    uniform_label,
 )
 from bellfoundry.oracles import hemi_average_quadrature, hemisphere_conditional_fraction
 from bellfoundry.quantum import singlet_expectation
@@ -50,32 +54,28 @@ class TestEnsembleLaw:
         rng = substream(52)
         for _ in range(100):
             t1, t2 = rng.uniform(0, 2 * math.pi, size=2)
-            p_plus, p_minus = single_measure_prob(hemisphere(Axis(t1), 1), Axis(t2))
+            p_plus, p_minus = single_measure_prob(Hemisphere(Axis(t1), 1), Axis(t2))
             assert p_plus + p_minus == pytest.approx(1.0)
             assert 0.0 <= p_plus <= 1.0
 
     def test_same_axis_certain(self):
         a = Axis(1.2)
-        assert single_measure_prob(hemisphere(a, 1), a) == (1.0, 0.0)
-        p_plus, _ = single_measure_prob(hemisphere(a, -1), a)
+        assert single_measure_prob(Hemisphere(a, 1), a) == (1.0, 0.0)
+        p_plus, _ = single_measure_prob(Hemisphere(a, -1), a)
         assert p_plus == pytest.approx(0.0)
 
     def test_outcome_average_matches_field_average(self):
         # oracle: quadrature of the projection field over the hemisphere;
         # the integrated field equals cos(offset), twice the outcome average
         for offset in (0.0, math.pi / 4, math.pi / 2, 2.3):
-            p_plus, p_minus = single_measure_prob(hemisphere(Axis(0.0), 1), Axis(offset))
+            p_plus, p_minus = single_measure_prob(Hemisphere(Axis(0.0), 1), Axis(offset))
             average = 0.5 * p_plus - 0.5 * p_minus
             assert 2.0 * average == pytest.approx(hemi_average_quadrature(offset), abs=1e-10)
 
-    def test_uniform_label_rejected(self):
-        with pytest.raises(ValueError):
-            single_measure_prob(uniform_label(), Axis(0.0))
-
     def test_measure_single_updates_ensemble(self):
         rng = substream(53)
-        outcome, label = measure_single(rng, hemisphere(Axis(0.0), 1), Axis(0.7))
-        assert label.kind == "hemisphere"
+        outcome, label = measure_single(rng, Hemisphere(Axis(0.0), 1), Axis(0.7))
+        assert isinstance(label, Hemisphere)
         assert label.axis.theta == pytest.approx(0.7)
         assert label.sign == outcome.sign
 
