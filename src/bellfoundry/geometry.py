@@ -61,6 +61,8 @@ class Hemisphere:
     sign: int
 
     def __post_init__(self):
+        if not isinstance(self.axis, Axis):
+            raise ValueError(f"hemisphere axis must be an Axis, got {self.axis!r}")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 

@@ -32,19 +32,43 @@ def hemi_average_quadrature(offset: float, order: int = 120) -> float:
     return float((integrand * w_gamma[:, None]).sum() * w_phi)
 
 
+#: Points per block of the lambda grid that the circle quadratures walk.
+QUADRATURE_BLOCK = 65_536
+
+
+def _lambda_blocks(n: int):
+    """The midpoint grid (k + 1/2) * 2pi/n, k = 0..n-1, in blocks of QUADRATURE_BLOCK points.
+
+    Each block holds the same doubles as the whole grid would, so counts
+    over the blocks equal counts over the whole grid.
+    """
+    step = 2.0 * math.pi / n
+    for start in range(0, n, QUADRATURE_BLOCK):
+        yield (np.arange(start, min(start + QUADRATURE_BLOCK, n)) + 0.5) * step
+
+
 def half_circle_overlap_quadrature(theta_a: float, theta_b: float, n: int = 2_000_000) -> float:
     """Fraction of the circle where cos(lam - theta_a) and cos(lam - theta_b) are both >= 0."""
-    lam = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    inside = (np.cos(lam - theta_a) >= 0.0) & (np.cos(lam - theta_b) >= 0.0)
-    return float(inside.mean())
+    inside = 0
+    for lam in _lambda_blocks(n):
+        both = (np.cos(lam - theta_a) >= 0.0) & (np.cos(lam - theta_b) >= 0.0)
+        inside += int(np.count_nonzero(both))
+    return inside / n
 
 
 def sign_model_expectation_quadrature(delta: float, n: int = 2_000_000) -> float:
-    """Deterministic sign-rule expectation by direct angular quadrature."""
-    lam = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    s1 = np.where(np.cos(lam) >= 0.0, 0.5, -0.5)
-    s2 = np.where(np.cos(lam - delta) >= 0.0, -0.5, 0.5)
-    return float((s1 * s2).mean())
+    """Deterministic sign-rule expectation by direct angular quadrature.
+
+    Particle 1 answers +1/2 where cos(lam) >= 0 and particle 2 answers
+    -1/2 where cos(lam - delta) >= 0, so each point scores -1/4 where the
+    two conditions agree and +1/4 where they differ.  The sum of those
+    quarters is exact, so the mean is 0.25 * (n - 2 * agree) / n.
+    """
+    agree = 0
+    for lam in _lambda_blocks(n):
+        same = (np.cos(lam) >= 0.0) == (np.cos(lam - delta) >= 0.0)
+        agree += int(np.count_nonzero(same))
+    return 0.25 * (n - 2 * agree) / n
 
 
 def singlet_expectation_from_cells(delta: float) -> float:

@@ -2,14 +2,19 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellfoundry import cli
 from bellfoundry.cli import (
     CONFIG_DEFAULTS,
+    MAX_GRID,
+    MAX_THREADS,
     OPTIMAL_AXES,
     Check,
     UsageError,
@@ -354,6 +359,8 @@ class TestConfigSchema:
             ('{"axes": [[0, 1, 2, Infinity]]}', "finite"),
             ("[1, 2]", "JSON object"),
             ({"axes": [[10**400, 0, 0, 0]]}, "finite"),
+            ({"grid": MAX_GRID + 1}, "grid must be <="),
+            ({"threads": MAX_THREADS + 1}, "threads must be <="),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, config, message):
@@ -368,6 +375,27 @@ class TestConfigSchema:
         rc, err = _run_with_config(tmp_path, capsys, {})
         assert rc == 2
         assert err.startswith("error: threads")
+
+    def test_threads_above_the_cap_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # a config that got past validation would fail here, before starting a thread
+        monkeypatch.setattr(cli, "run_simulate", lambda config: pytest.fail("simulation ran"))
+        too_many = str(MAX_THREADS + 1)
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--trials", "10", "--out", out, "--threads", too_many]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: threads must be <=") and "Traceback" not in err
+        monkeypatch.setenv("BELLFOUNDRY_THREADS", too_many)
+        assert main(["simulate", "--trials", "10", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: threads must be <=") and "Traceback" not in err
+
+    def test_caps_themselves_are_accepted(self, monkeypatch):
+        args = build_parser().parse_args(["simulate", "--threads", str(MAX_THREADS)])
+        assert load_config(args)["threads"] == MAX_THREADS
+        monkeypatch.setenv("BELLFOUNDRY_THREADS", str(MAX_THREADS))
+        assert load_config(build_parser().parse_args(["simulate"]))["threads"] == MAX_THREADS
+        args = build_parser().parse_args(["scan", "--grid", str(MAX_GRID)])
+        assert load_config(args)["grid"] == MAX_GRID
 
     def test_negative_threads_flag(self):
         args = build_parser().parse_args(["simulate", "--threads", "-1"])
@@ -638,6 +666,34 @@ class TestScan:
         with pytest.raises(ValueError):
             run_scan("quantum", 1)
 
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("grid", [2, 4, 8])
+    def test_equals_one_argmax_over_the_whole_cube(self, model, grid):
+        """Reference: score the whole (a', b, b') cube per sign, keep argmax's first index."""
+        expectation = MODELS[model].analytic_expectation
+        thetas = np.arange(grid) * (2.0 * math.pi / grid)
+        axes = [Axis(t) for t in thetas]
+        e1 = np.array([[expectation(a, b) for b in axes] for a in axes])
+        e0 = e1[0]
+        best_value, best = -math.inf, None
+        for sign in (1, -1):
+            cube = np.abs(e1[:, :, None] + sign * e1[:, None, :])
+            cube += np.abs(e0[:, None] - sign * e0[None, :])
+            # the maximum is tied, so the first-index rule decides the axes
+            assert np.count_nonzero(cube == cube.max()) > 1
+            idx = np.unravel_index(int(np.argmax(cube)), cube.shape)
+            if cube[idx] > best_value:
+                best_value = float(cube[idx])
+                best = ((0.0, *(float(thetas[i]) for i in idx)), sign)
+        assert run_scan(model, grid) == (*best, best_value)
+
+    def test_grid_above_the_cap_exits_2(self, capsys, monkeypatch):
+        # the config key is one more case of TestConfigSchema.test_bad_value_exits_2
+        monkeypatch.setattr(cli, "run_scan", lambda *args: pytest.fail("scan ran"))
+        assert main(["scan", "--grid", str(MAX_GRID + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid must be <=") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -720,6 +776,41 @@ class TestOracle:
     def test_golden_stdout(self, capsys, seed):
         assert main(["oracle", "--seed", str(seed)]) == 0
         assert capsys.readouterr().out == GOLDEN_ORACLE[seed]
+
+
+#: The child runs one command in-process and prints the high-water RSS of its own address
+#: space in KiB.  Not ``ru_maxrss``: a child started by vfork and exec carries the parent's
+#: peak into it, so under pytest it reads the test process's peak.
+PEAK_RSS_CHILD = """\
+import contextlib, io, sys
+from bellfoundry import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak_kib = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(rc, peak_kib)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+class TestPeakMemory:
+    """oracle and scan stay far below their old full-grid peaks (about 100 and 92 MB).
+
+    A bare ``import bellfoundry.cli`` peaks near 35 MB; the blocked quadratures and the
+    one-a'-at-a-time scan near 40 MB.
+    """
+
+    @pytest.mark.parametrize("argv", [["oracle"], ["scan", "--model", "quantum", "--grid", "192"]])
+    def test_peak_rss_below_70_mb(self, argv):
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": package_root}
+        done = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        rc, peak_kib = (int(field) for field in done.stdout.split())
+        assert rc == 0
+        assert peak_kib / 1024 < 70, f"{argv} peaked at {peak_kib / 1024:.1f} MB"
 
 
 class TestUsageErrors:

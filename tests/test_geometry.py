@@ -69,6 +69,16 @@ class TestHemisphere:
         with pytest.raises(ValueError):
             Hemisphere(Axis(0.0), sign)
 
+    @pytest.mark.parametrize("axis", [0.3, None, "0.3", (0.3,)])
+    def test_rejects_non_axis(self, axis):
+        with pytest.raises(ValueError, match="must be an Axis"):
+            Hemisphere(axis, 1)
+
+    @pytest.mark.parametrize("axis", [0.3, None, "0.3", (0.3,)])
+    def test_subset_spec_rejects_non_axis(self, axis):
+        with pytest.raises(ValueError, match="must be an Axis"):
+            SubsetSpec([(Axis(0.0), 1), (axis, -1)])
+
     def test_subset_spec_rejects_fractional_sign(self):
         with pytest.raises(ValueError):
             SubsetSpec([(Axis(0.0), 1.5)])
