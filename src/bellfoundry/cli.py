@@ -36,7 +36,7 @@ from .lhv import (
     wigner_inequality_check,
 )
 from .quantum import chsh_norm_grid, chsh_operator, identity_residual_scan, singlet_expectation
-from .rng import substream
+from .rng import BATCH_SIZE, substream
 
 #: The four CHSH pairs as (label, first axis, second axis), indexing a quadruple (a, a', b, b').
 PAIRS = (("ab", 0, 2), ("ab'", 0, 3), ("a'b", 1, 2), ("a'b'", 1, 3))
@@ -75,6 +75,9 @@ CONFIG_DEFAULTS = {
 #: config is valid or invalid everywhere alike; it bounds the OS threads a run starts.
 MAX_THREADS = 64
 
+#: Largest accepted ``trials``: batch indices are keyed in 32 bits (see ``rng``).
+MAX_TRIALS = BATCH_SIZE << 32
+
 #: Largest accepted ``grid``.  ``scan`` takes time of order grid**3 and memory of order
 #: grid**2: at 512 about 1.4 s and a 50 MB peak on a 2-vCPU host.
 MAX_GRID = 512
@@ -91,18 +94,23 @@ def _is_angle(value) -> bool:
         return False
 
 
+def _check_seed(seed) -> None:
+    """The one seed rule of every command: an integer in [0, 2**64)."""
+    if not _is_int(seed) or not 0 <= seed < 1 << 64:
+        raise UsageError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def _validate_config(config: dict) -> None:
     """Raise UsageError unless every value has the type and range its key needs."""
     if not isinstance(config["model"], str) or config["model"] not in MODELS:
         raise UsageError(f"unknown model {config['model']!r}; choose from {sorted(MODELS)}")
-    for key, low in (("trials", 1), ("threads", 1), ("grid", 2), ("seed", 0)):
+    for key, low in (("trials", 1), ("threads", 1), ("grid", 2)):
         if not _is_int(config[key]) or config[key] < low:
             raise UsageError(f"{key} must be an integer >= {low}, got {config[key]!r}")
-    for key, high in (("threads", MAX_THREADS), ("grid", MAX_GRID)):
+    for key, high in (("trials", MAX_TRIALS), ("threads", MAX_THREADS), ("grid", MAX_GRID)):
         if config[key] > high:
             raise UsageError(f"{key} must be <= {high}, got {config[key]!r}")
-    if config["seed"] >= 1 << 64:
-        raise UsageError("seed must fit in 64 bits")
+    _check_seed(config["seed"])
     if not _is_int(config["sign_choice"]) or config["sign_choice"] not in (1, -1):
         raise UsageError("sign_choice must be +1 or -1")
     if not isinstance(config["output"], str) or not config["output"]:
@@ -140,12 +148,6 @@ def load_config(args) -> dict:
         elif key == "sign_choice":
             value = 1 if value == "+" else -1
         config[key] = value
-    env_threads = os.environ.get("BELLFOUNDRY_THREADS")
-    if env_threads:
-        try:
-            config["threads"] = int(env_threads)
-        except ValueError as exc:
-            raise UsageError(f"bad BELLFOUNDRY_THREADS: {exc}") from exc
     _validate_config(config)
     return config
 
@@ -317,7 +319,7 @@ class Check(NamedTuple):
 
 def _vertex_chsh_max() -> float:
     """The largest joint-distribution CHSH over the 16 deterministic vertices."""
-    return float(joint_distribution_chsh(np.stack([f for _, f in vertex_distributions()])).max())
+    return float(joint_distribution_chsh(vertex_distributions()).max())
 
 
 def verify_chsh(seed: int) -> list[Check]:
@@ -491,6 +493,7 @@ def main(argv=None) -> int:
             )
             return 0
         if args.command == "verify":
+            _check_seed(args.seed)
             checks = run_verify(args.suite, args.seed)
             ok = all(check.ok for check in checks)
             for check in checks:
@@ -498,6 +501,7 @@ def main(argv=None) -> int:
             print(f"suite={args.suite} overall={'pass' if ok else 'FAIL'}")
             return 0 if ok else 1
         if args.command == "oracle":
+            _check_seed(args.seed)
             for name, value in run_oracle(args.seed):
                 print(f"oracle={name} value={value!r}")
             return 0

@@ -147,18 +147,6 @@ class PairCounts:
             self.n_mm + other.n_mm,
         )
 
-    def frequencies(self) -> dict:
-        """Observed frequencies keyed by the outcome-sign pair."""
-        if self.total == 0:
-            raise ValueError("empty counts")
-        t = float(self.total)
-        return {
-            (1, 1): self.n_pp / t,
-            (1, -1): self.n_pm / t,
-            (-1, 1): self.n_mp / t,
-            (-1, -1): self.n_mm / t,
-        }
-
 
 def counts_from_signs(s1: np.ndarray, s2: np.ndarray) -> PairCounts:
     """Tally arrays of +-1 outcome signs, or boolean "+" masks, into PairCounts."""

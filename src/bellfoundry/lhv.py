@@ -233,12 +233,9 @@ def joint_distribution_chsh(f: np.ndarray) -> float | np.ndarray:
     return float(value) if f.ndim == 4 else value
 
 
-def vertex_distributions():
-    """The 16 deterministic point masses over (A1, A1', B2, B2')."""
-    for idx in itertools.product((0, 1), repeat=4):
-        f = np.zeros((2, 2, 2, 2))
-        f[idx] = 1.0
-        yield idx, f
+def vertex_distributions() -> np.ndarray:
+    """The 16 deterministic point masses over (A1, A1', B2, B2'); mass k sits at C-order index k."""
+    return np.eye(16).reshape(16, 2, 2, 2, 2)
 
 
 def stochastic_defect(model: HVModel, a: Axis, n: int, rng: np.random.Generator) -> float:
@@ -337,11 +334,6 @@ def wigner_measure(
     if mode == "mc":
         return _mc_measures(model, [spec], n, rng)[0]
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def measure_std_error(measure: float, n: int) -> float:
-    """Binomial standard error of an MC subset-measure estimate."""
-    return math.sqrt(max(measure * (1.0 - measure), 0.0) / n)
 
 
 def wigner_inequality_check(

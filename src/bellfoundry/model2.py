@@ -95,8 +95,7 @@ def measure_prob_single(initial: Hemisphere, b: Axis) -> tuple:
 
 def equivalence_decompose(a: Axis, u: Axis) -> tuple:
     """Coefficients (c_plus, c_minus) with F(+a) ~ c_plus F(+u) + c_minus F(-u)."""
-    half = (u.theta - a.theta) / 2.0
-    return math.cos(half), math.sin(half)
+    return decompose_field(HemiField(Hemisphere(a, 1)), u)
 
 
 def decompose_field(f: HemiField, u: Axis) -> tuple:

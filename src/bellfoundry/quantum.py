@@ -48,15 +48,8 @@ class HermitianOperator:
 
 
 def singlet_joint_probability(a1: Outcome, a: Axis, b2: Outcome, b: Axis) -> float:
-    """Joint singlet probability for outcomes (a1, b2) along axes (a, b).
-
-    Opposite signs occur with probability cos(d/2)**2 / 2 and same signs
-    with sin(d/2)**2 / 2, d = theta_b - theta_a.
-    """
-    half = wrap_delta(a, b) / 2.0
-    if a1.sign != b2.sign:
-        return 0.5 * math.cos(half) ** 2
-    return 0.5 * math.sin(half) ** 2
+    """One cell of singlet_joint_table: the probability of outcomes (a1, b2) along (a, b)."""
+    return float(singlet_joint_table(a, b)[(1 - a1.sign) // 2, (1 - b2.sign) // 2])
 
 
 def singlet_expectation(a: Axis, b: Axis) -> float:
@@ -65,7 +58,11 @@ def singlet_expectation(a: Axis, b: Axis) -> float:
 
 
 def singlet_joint_table(a: Axis, b: Axis) -> np.ndarray:
-    """2x2 table of singlet joint probabilities; index 0 = +1/2, 1 = -1/2."""
+    """2x2 table of singlet joint probabilities; index 0 = +1/2, 1 = -1/2.
+
+    Opposite signs occur with probability cos(d/2)**2 / 2 and same signs
+    with sin(d/2)**2 / 2, d = theta_b - theta_a.
+    """
     half = wrap_delta(a, b) / 2.0
     same = 0.5 * math.sin(half) ** 2
     opposite = 0.5 * math.cos(half) ** 2

@@ -123,7 +123,7 @@ def test_criterion_3_bell_bound():
     ok &= report.holds
 
     # the 16 deterministic vertex joint distributions
-    worst_vertex = max(joint_distribution_chsh(f) for _, f in vertex_distributions())
+    worst_vertex = max(joint_distribution_chsh(f) for f in vertex_distributions())
     ok &= worst_vertex <= BELL_BOUND + 1e-15
     _report(3, "Bell bound for factorizable models", ok)
 

@@ -15,7 +15,9 @@ from bellfoundry.cli import (
     CONFIG_DEFAULTS,
     MAX_GRID,
     MAX_THREADS,
+    MAX_TRIALS,
     OPTIMAL_AXES,
+    VERIFY_SUITES,
     Check,
     UsageError,
     build_parser,
@@ -27,7 +29,7 @@ from bellfoundry.cli import (
 )
 from bellfoundry.engine import MODELS, run_pair_counts
 from bellfoundry.geometry import Axis, empirical_expectation
-from bellfoundry.rng import BATCH_SIZE
+from bellfoundry.rng import BATCH_SIZE, batch_streams
 
 
 # Exact stdout by seed; any change to a printed value must update these.
@@ -292,16 +294,13 @@ class TestConfig:
         )
         assert load_config(args)["trials"] == 456
 
-    def test_env_threads(self, monkeypatch):
-        monkeypatch.setenv("BELLFOUNDRY_THREADS", "3")
-        args = build_parser().parse_args(["simulate"])
-        assert load_config(args)["threads"] == 3
-
-    def test_bad_env_threads(self, monkeypatch):
-        monkeypatch.setenv("BELLFOUNDRY_THREADS", "lots")
-        args = build_parser().parse_args(["simulate"])
-        with pytest.raises(UsageError):
-            load_config(args)
+    @pytest.mark.parametrize(
+        "flag, threads", [([], CONFIG_DEFAULTS["threads"]), (["--threads", "2"], 2)]
+    )
+    def test_threads_environment_variable_is_ignored(self, tmp_path, monkeypatch, flag, threads):
+        monkeypatch.setenv("BELLFOUNDRY_THREADS", "0")
+        assert load_config(build_parser().parse_args(["simulate", *flag]))["threads"] == threads
+        assert main(["simulate", "--trials", "10", "--out", str(tmp_path / "run"), *flag]) == 0
 
     def test_bad_model_in_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -369,13 +368,6 @@ class TestConfigSchema:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "run_report.json").exists()
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_nonpositive_env_threads_exits_2(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("BELLFOUNDRY_THREADS", value)
-        rc, err = _run_with_config(tmp_path, capsys, {})
-        assert rc == 2
-        assert err.startswith("error: threads")
-
     def test_threads_above_the_cap_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch):
         # a config that got past validation would fail here, before starting a thread
         monkeypatch.setattr(cli, "run_simulate", lambda config: pytest.fail("simulation ran"))
@@ -384,16 +376,30 @@ class TestConfigSchema:
         assert main(["simulate", "--trials", "10", "--out", out, "--threads", too_many]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: threads must be <=") and "Traceback" not in err
-        monkeypatch.setenv("BELLFOUNDRY_THREADS", too_many)
-        assert main(["simulate", "--trials", "10", "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: threads must be <=") and "Traceback" not in err
 
-    def test_caps_themselves_are_accepted(self, monkeypatch):
+    def test_trials_above_the_cap_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # a config that got past validation would fail here, before drawing a trial
+        monkeypatch.setattr(cli, "run_simulate", lambda config: pytest.fail("simulation ran"))
+        too_many = MAX_TRIALS + 1
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--trials", str(too_many), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trials must be <=") and "Traceback" not in err
+        rc, err = _run_with_config(tmp_path, capsys, {"trials": too_many})
+        assert rc == 2
+        assert err.startswith("error: trials must be <=") and "Traceback" not in err
+
+    def test_trials_cap_is_the_last_batch_index_rng_keys(self):
+        assert MAX_TRIALS == BATCH_SIZE << 32
+        batch_streams(0, 0, range(-(-MAX_TRIALS // BATCH_SIZE)))
+        with pytest.raises(ValueError, match="32 bits"):
+            batch_streams(0, 0, range(-(-(MAX_TRIALS + 1) // BATCH_SIZE)))
+
+    def test_caps_themselves_are_accepted(self):
         args = build_parser().parse_args(["simulate", "--threads", str(MAX_THREADS)])
         assert load_config(args)["threads"] == MAX_THREADS
-        monkeypatch.setenv("BELLFOUNDRY_THREADS", str(MAX_THREADS))
-        assert load_config(build_parser().parse_args(["simulate"]))["threads"] == MAX_THREADS
+        args = build_parser().parse_args(["simulate", "--trials", str(MAX_TRIALS)])
+        assert load_config(args)["trials"] == MAX_TRIALS
         args = build_parser().parse_args(["scan", "--grid", str(MAX_GRID)])
         assert load_config(args)["grid"] == MAX_GRID
 
@@ -761,6 +767,27 @@ class TestVerify:
         check = Check("chsh.example", False, 0.75, 0.5)
         assert check.margin == -0.25
         assert check.line == "check=chsh.example status=FAIL value=0.75 bound=0.5 margin=-0.25"
+
+
+class TestSeedRule:
+    """verify and oracle take simulate's seed rule, 0 <= seed < 2**64, before any suite runs."""
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    @pytest.mark.parametrize(
+        "argv", [*(["verify", "--suite", suite] for suite in [*VERIFY_SUITES, "all"]), ["oracle"]]
+    )
+    def test_out_of_range_exits_2(self, capsys, monkeypatch, argv, seed):
+        monkeypatch.setattr(cli, "run_verify", lambda *args: pytest.fail("a suite ran"))
+        monkeypatch.setattr(cli, "run_oracle", lambda *args: pytest.fail("the oracle ran"))
+        assert main([*argv, "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    @pytest.mark.parametrize("suite", ["tsirelson", "identity"])
+    def test_range_ends_are_accepted(self, capsys, suite, seed):
+        assert main(["verify", "--suite", suite, "--seed", str(seed)]) == 0
+        assert f"suite={suite} overall=pass" in capsys.readouterr().out
 
 
 class TestOracle:

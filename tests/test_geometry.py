@@ -168,10 +168,6 @@ class TestPairCounts:
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
 
-    def test_frequencies_sum_to_one(self):
-        counts = PairCounts(1, 2, 3, 4)
-        assert sum(counts.frequencies().values()) == pytest.approx(1.0)
-
     def test_counts_from_signs(self):
         s1 = np.array([1, 1, -1, -1, 1])
         s2 = np.array([1, -1, 1, -1, 1])

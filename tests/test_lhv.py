@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,6 @@ from bellfoundry.lhv import (
     check_bell_theorem,
     chsh_value,
     joint_distribution_chsh,
-    measure_std_error,
     model_expectation,
     quantum_wigner_violation,
     sample_model_counts,
@@ -42,6 +42,11 @@ from bellfoundry.quantum import singlet_expectation, singlet_joint_probability
 from bellfoundry.rng import substream
 
 OPTIMAL = [Axis(0.0), Axis(math.pi / 2), Axis(math.pi / 4), Axis(3 * math.pi / 4)]
+
+
+def measure_std_error(measure: float, n: int) -> float:
+    """Binomial standard error of an MC subset-measure estimate."""
+    return math.sqrt(max(measure * (1.0 - measure), 0.0) / n)
 
 
 class TestDeterministicSignModel:
@@ -196,6 +201,14 @@ def _joint_chsh_per_distribution(f):
     return max(chsh_value(*es, sign_choice=s) for s in (1, -1))
 
 
+def _vertex_generator():
+    """Reference: the 16 point masses as a generator of (index, mass) in itertools order."""
+    for idx in itertools.product((0, 1), repeat=4):
+        f = np.zeros((2, 2, 2, 2))
+        f[idx] = 1.0
+        yield idx, f
+
+
 class TestBatchedJointDistribution:
     @pytest.mark.parametrize("seed", [1, 7, 90210])
     def test_batch_equals_per_distribution_formula(self, seed):
@@ -205,7 +218,8 @@ class TestBatchedJointDistribution:
         np.testing.assert_array_equal(batch, [_joint_chsh_per_distribution(f) for f in draws])
 
     def test_vertices_batch_equals_per_distribution_formula(self):
-        vertices = np.stack([f for _, f in vertex_distributions()])
+        vertices = vertex_distributions()
+        assert np.array_equal(vertices, np.stack([f for _, f in _vertex_generator()]))
         expected = [_joint_chsh_per_distribution(f) for f in vertices]
         np.testing.assert_array_equal(joint_distribution_chsh(vertices), expected)
         grid = joint_distribution_chsh(vertices.reshape(4, 4, 2, 2, 2, 2))
@@ -240,7 +254,7 @@ class TestJointDistribution:
         assert joint_distribution_chsh(f) <= 0.5 + 1e-12
 
     def test_all_vertices_exact(self):
-        for _, f in vertex_distributions():
+        for f in vertex_distributions():
             assert joint_distribution_chsh(f) <= 0.5 + 1e-15
 
     def test_random_dirichlet_bounded(self):

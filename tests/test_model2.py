@@ -87,6 +87,16 @@ class TestEquivalence:
             cp, cm = equivalence_decompose(a, u)
             assert cp**2 + cm**2 == pytest.approx(1.0)
 
+    def test_equals_the_old_half_angle_form(self):
+        angles = [0.0, math.pi, 5e-324, 1e-300, math.nextafter(2 * math.pi, 0.0)] + list(
+            substream(75).uniform(0, 2 * math.pi, size=45)
+        )
+        for ta in angles:
+            for tu in angles:
+                a, u = Axis(ta), Axis(tu)
+                half = (u.theta - a.theta) / 2.0
+                assert equivalence_decompose(a, u) == (math.cos(half), math.sin(half))
+
     def test_decomposition_preserves_predictions(self):
         rng = substream(72)
         for _ in range(25):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellfoundry import quantum
-from bellfoundry.geometry import Axis, MINUS, PLUS, TSIRELSON_BOUND, V_MAX
+from bellfoundry.geometry import Axis, MINUS, PLUS, TSIRELSON_BOUND, V_MAX, wrap_delta
 from bellfoundry.quantum import (
     HermitianOperator,
     chsh_norm_grid,
@@ -29,6 +29,25 @@ class TestSingletLaw:
     def test_right_angle(self):
         p = singlet_joint_probability(PLUS, Axis(0.0), MINUS, Axis(math.pi / 2))
         assert p == pytest.approx(0.25)
+
+    def test_cells_equal_the_old_closed_form(self):
+        def old_cell(a1, a, b2, b):
+            half = wrap_delta(a, b) / 2.0
+            if a1.sign != b2.sign:
+                return 0.5 * math.cos(half) ** 2
+            return 0.5 * math.sin(half) ** 2
+
+        # boundary angles (0, pi, tiny, just below 2 pi) and random ones
+        angles = [0.0, math.pi, 5e-324, 1e-300, math.nextafter(2 * math.pi, 0.0)] + list(
+            substream(25).uniform(0.0, 2 * math.pi, size=45)
+        )
+        for ta in angles:
+            for tb in angles:
+                a, b = Axis(ta), Axis(tb)
+                for o1 in (PLUS, MINUS):
+                    for o2 in (PLUS, MINUS):
+                        p = singlet_joint_probability(o1, a, o2, b)
+                        assert type(p) is float and p == old_cell(o1, a, o2, b)
 
     def test_normalization_random_axes(self):
         rng = substream(21)
