@@ -1,11 +1,11 @@
 """Hidden-variable models, the CHSH bounds, and Wigner set measures.
 
 A hidden-variable model supplies a sampler over its variable space and
-factorized per-particle response probabilities.  Response methods take an
-outcome sign (+1 or -1), an axis, and an array of sampled variables, and
-return the probability of that outcome for each variable; responses must
-be normalized over the two outcomes for each particle separately, which
-is exactly the factorization structure p(A1, B2, lam) = p(A1, lam) p(B2, lam).
+factorized per-particle responses, p(A1, B2 | lam) = p(A1 | lam) p(B2 | lam).
+Each factor is a two-outcome law fixed by one number, so a model states
+only P(+1/2 | lam) along an axis for each sampled variable; P(-1/2 | lam)
+is 1 - P(+1/2 | lam) wherever it is needed, and normalization holds by
+construction.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .geometry import (
     wrap_delta,
 )
 
-_OUTCOME_SIGNS = (1, -1)
-
 # cos changes sign between each of these doubles and the next one up:
 # cos(fl(pi/2)) = +6.1e-17 and cos(fl(3pi/2)) = -1.8e-16.
 _COS_ZERO_1 = math.pi / 2.0
@@ -47,7 +45,9 @@ def _cos_nonneg(d: np.ndarray) -> np.ndarray:
     mag = np.abs(d)
     if not mag.max(initial=0.0) < TAU:
         return np.cos(d) >= 0.0
-    return (mag <= _COS_ZERO_1) | (mag > _COS_ZERO_2)
+    nonneg = mag <= _COS_ZERO_1
+    nonneg |= mag > _COS_ZERO_2  # in place: one n-byte temporary fewer at the peak
+    return nonneg
 
 
 class HVModel(Protocol):
@@ -56,11 +56,11 @@ class HVModel(Protocol):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n i.i.d. hidden variables from the model's distribution."""
 
-    def response1(self, sign: int, a: Axis, lam: np.ndarray) -> np.ndarray:
-        """P(first particle yields outcome sign/2 | lam) along axis a."""
+    def plus1(self, a: Axis, lam: np.ndarray) -> np.ndarray:
+        """P(first particle yields +1/2 | lam) along axis a."""
 
-    def response2(self, sign: int, b: Axis, lam: np.ndarray) -> np.ndarray:
-        """P(second particle yields outcome sign/2 | lam) along axis b."""
+    def plus2(self, b: Axis, lam: np.ndarray) -> np.ndarray:
+        """P(second particle yields +1/2 | lam) along axis b."""
 
 
 class DeterministicSignModel:
@@ -75,13 +75,11 @@ class DeterministicSignModel:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(0.0, TAU, size=n)
 
-    def response1(self, sign: int, a: Axis, lam: np.ndarray) -> np.ndarray:
-        plus = _cos_nonneg(lam - a.theta)
-        return (plus if sign > 0 else ~plus).astype(float)
+    def plus1(self, a: Axis, lam: np.ndarray) -> np.ndarray:
+        return _cos_nonneg(lam - a.theta).astype(float)
 
-    def response2(self, sign: int, b: Axis, lam: np.ndarray) -> np.ndarray:
-        plus = _cos_nonneg(lam - b.theta)
-        return (~plus if sign > 0 else plus).astype(float)
+    def plus2(self, b: Axis, lam: np.ndarray) -> np.ndarray:
+        return (~_cos_nonneg(lam - b.theta)).astype(float)
 
 
 class ConstantResponseModel:
@@ -95,18 +93,10 @@ class ConstantResponseModel:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(0.0, TAU, size=n)
 
-    def response1(self, sign: int, a: Axis, lam: np.ndarray) -> np.ndarray:
-        p = self.p if sign > 0 else 1.0 - self.p
-        return np.full(lam.shape, p)
+    def plus1(self, a: Axis, lam: np.ndarray) -> np.ndarray:
+        return np.full(lam.shape, self.p)
 
-    response2 = response1
-
-
-def _check_normalized(model: HVModel, a: Axis, b: Axis, lam: np.ndarray) -> None:
-    for response, axis in ((model.response1, a), (model.response2, b)):
-        total = response(1, axis, lam) + response(-1, axis, lam)
-        if np.abs(total - 1.0).max() > 1e-12:
-            raise ValueError("model responses are not normalized over outcomes")
+    plus2 = plus1
 
 
 def sample_model_counts(
@@ -114,9 +104,8 @@ def sample_model_counts(
 ) -> PairCounts:
     """Draw n trials: sample lam, then outcomes from the factorized responses."""
     lam = model.sample(rng, n)
-    _check_normalized(model, a, b, lam[: min(n, 1024)])
-    p1 = model.response1(1, a, lam)
-    p2 = model.response2(1, b, lam)
+    p1 = model.plus1(a, lam)
+    p2 = model.plus2(b, lam)
     return counts_from_signs(rng.random(n) < p1, rng.random(n) < p2)
 
 
@@ -201,7 +190,7 @@ def check_bell_theorem(
             estimates[(ap.theta, bp.theta)],
         ]
         tol = 5.0 * math.sqrt(sum(e.std_error**2 for e in es))
-        for sign in _OUTCOME_SIGNS:
+        for sign in (1, -1):
             value = chsh_value(*(e.value for e in es), sign_choice=sign)
             if value - tol > worst_value - worst_tol:
                 worst_value, worst_tol = value, tol
@@ -241,17 +230,14 @@ def vertex_distributions() -> np.ndarray:
 def stochastic_defect(model: HVModel, a: Axis, n: int, rng: np.random.Generator) -> float:
     """Diagnostic for the stochastic ruling-out argument.
 
-    Estimates E_lam[p(A1=+, lam)(1 - p(A2=-, lam)) + p(A1=-, lam)(1 - p(A2=+, lam))]
-    at the same axis for both particles; it vanishes exactly when the model
-    can reproduce the perfect same-axis anticorrelation.
+    Estimates E_lam[p1 p2 + (1 - p1)(1 - p2)], pk = P(particle k yields +1/2 | lam),
+    the chance of equal outcomes at one axis; it vanishes exactly when the
+    model can reproduce the perfect same-axis anticorrelation.
     """
     lam = model.sample(rng, n)
-    p1_plus = model.response1(1, a, lam)
-    p1_minus = model.response1(-1, a, lam)
-    p2_plus = model.response2(1, a, lam)
-    p2_minus = model.response2(-1, a, lam)
-    defect = p1_plus * (1.0 - p2_minus) + p1_minus * (1.0 - p2_plus)
-    return float(defect.mean())
+    p1 = model.plus1(a, lam)
+    p2 = model.plus2(a, lam)
+    return float((p1 * p2 + (1.0 - p1) * (1.0 - p2)).mean())
 
 
 @dataclass(frozen=True)
@@ -259,8 +245,8 @@ class SubsetSpec:
     """An intersection of outcome subsets, e.g. (+a) & (-a').
 
     Built from (axis, sign) pairs, each kept as a Hemisphere clause; lam
-    belongs to the clause when the model's deterministic particle-1
-    response for that signed outcome is 1.
+    belongs to the clause when the model's deterministic particle 1
+    answers sign/2 along the clause's axis.
     """
 
     clauses: tuple
@@ -291,25 +277,27 @@ def _arc_intersection_length(clauses) -> float:
     return hi - lo
 
 
-def _require_deterministic(model: HVModel, lam: np.ndarray, axes) -> None:
-    for axis in axes:
-        p = model.response1(1, axis, lam)
-        if not np.isin(p, (0.0, 1.0)).all():
-            raise ValueError("measure undefined for stochastic models")
+def _plus_mask(model: HVModel, axis: Axis, lam: np.ndarray) -> np.ndarray:
+    """Draws on which particle 1 answers +1/2 along axis; every P(+) must be 0 or 1."""
+    p = model.plus1(axis, lam)
+    plus = p == 1.0
+    if not (plus | (p == 0.0)).all():
+        raise ValueError("measure undefined for stochastic models")
+    return plus
 
 
 def _mc_measures(model: HVModel, specs, n: int, rng: np.random.Generator | None) -> list:
-    """MC measures of several subsets, all scored on one sample of n draws of lam."""
+    """MC measures of several subsets on one sample of n draws of lam, one + mask per axis."""
     if rng is None or n <= 0:
         raise ValueError("MC mode needs a positive n and an rng")
     lam = model.sample(rng, n)
     axes = dict.fromkeys(clause.axis for spec in specs for clause in spec.clauses)
-    _require_deterministic(model, lam[: min(n, 1024)], axes)
+    plus = {axis: _plus_mask(model, axis, lam) for axis in axes}
     measures = []
     for spec in specs:
         member = np.ones(n, dtype=bool)
         for clause in spec.clauses:
-            member &= model.response1(clause.sign, clause.axis, lam) == 1.0
+            member &= plus[clause.axis] if clause.sign > 0 else ~plus[clause.axis]
         measures.append(float(member.mean()))
     return measures
 

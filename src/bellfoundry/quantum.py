@@ -18,9 +18,6 @@ from .geometry import Axis, Outcome, PairCounts, V_MAX, wrap_delta
 from .linalg import HERMITICITY_TOL, spectral_norm
 from .rng import substream
 
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
 #: Grid points cross-checked by ``eigvalsh`` in chsh_norm_grid, drawn from
 #: the fixed key (0, NORM_CHECK_STREAM), and the agreement they must reach.
 NORM_CHECK_POINTS = 4096
@@ -78,23 +75,7 @@ def sample_singlet_counts(rng: np.random.Generator, a: Axis, b: Axis, n: int) ->
 
 def spin_operator(a: Axis) -> HermitianOperator:
     """Spin projection operator along a coplanar axis; eigenvalues +-1/2."""
-    matrix = 0.5 * (math.cos(a.theta) * _SIGMA_Z + math.sin(a.theta) * _SIGMA_X)
-    return HermitianOperator(matrix)
-
-
-def _chsh_matrix(a: Axis, ap: Axis, b: Axis, bp: Axis, sign: int) -> np.ndarray:
-    if sign not in (1, -1):
-        raise ValueError("sign_choice must be +1 or -1")
-    s1a = spin_operator(a).entries
-    s1ap = spin_operator(ap).entries
-    s2b = spin_operator(b).entries
-    s2bp = spin_operator(bp).entries
-    return (
-        np.kron(s1a, s2b)
-        - sign * np.kron(s1a, s2bp)
-        + np.kron(s1ap, s2b)
-        + sign * np.kron(s1ap, s2bp)
-    )
+    return HermitianOperator(_spin_batch(np.float64(a.theta)))
 
 
 def chsh_operator(a: Axis, ap: Axis, b: Axis, bp: Axis, sign_choice: int = 1) -> HermitianOperator:
@@ -104,7 +85,10 @@ def chsh_operator(a: Axis, ap: Axis, b: Axis, bp: Axis, sign_choice: int = 1) ->
     S1a S2b -+ S1a S2b' + S1a' S2b +- S1a' S2b' with the upper pattern
     for +1.
     """
-    return HermitianOperator(_chsh_matrix(a, ap, b, bp, sign_choice))
+    if sign_choice not in (1, -1):
+        raise ValueError("sign_choice must be +1 or -1")
+    quad = np.array([[a.theta, ap.theta, b.theta, bp.theta]])
+    return HermitianOperator(_chsh_batch(quad, sign_choice)[0])
 
 
 def operator_norm(h: HermitianOperator) -> float:
@@ -113,7 +97,7 @@ def operator_norm(h: HermitianOperator) -> float:
 
 
 def _spin_batch(theta: np.ndarray) -> np.ndarray:
-    """Real x-z spin operators, shape (..., 2, 2), entrywise equal to spin_operator."""
+    """Real x-z spin operators S(theta) = (cos(theta) sz + sin(theta) sx)/2, shape (..., 2, 2)."""
     c = 0.5 * np.cos(theta)
     s = 0.5 * np.sin(theta)
     return np.stack([np.stack([c, s], axis=-1), np.stack([s, -c], axis=-1)], axis=-2)

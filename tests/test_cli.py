@@ -824,10 +824,13 @@ class TestPeakMemory:
     """oracle and scan stay far below their old full-grid peaks (about 100 and 92 MB).
 
     A bare ``import bellfoundry.cli`` peaks near 35 MB; the blocked quadratures and the
-    one-a'-at-a-time scan near 40 MB.
+    one-a'-at-a-time scan near 40 MB, and every verify suite in one run near 44 MB.
     """
 
-    @pytest.mark.parametrize("argv", [["oracle"], ["scan", "--model", "quantum", "--grid", "192"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [["oracle"], ["scan", "--model", "quantum", "--grid", "192"], ["verify", "--suite", "all"]],
+    )
     def test_peak_rss_below_70_mb(self, argv):
         package_root = os.path.dirname(os.path.dirname(cli.__file__))
         env = {**os.environ, "PYTHONPATH": package_root}

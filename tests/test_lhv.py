@@ -76,19 +76,20 @@ class TestDeterministicSignModel:
             lam = substream(30).uniform(low, high, 1000)
             for theta in (0.0, math.pi / 2, 4.0):
                 old_sign = np.where(np.cos(lam - theta) >= 0.0, 1, -1)
+                plus1 = model.plus1(Axis(theta), lam)
+                plus2 = model.plus2(Axis(theta), lam)
                 for sign in (1, -1):
-                    np.testing.assert_array_equal(
-                        model.response1(sign, Axis(theta), lam), (old_sign == sign).astype(float)
-                    )
-                    np.testing.assert_array_equal(
-                        model.response2(sign, Axis(theta), lam), (old_sign == -sign).astype(float)
-                    )
+                    # P(-1/2) is read as 1 - P(+1/2)
+                    p1 = plus1 if sign > 0 else 1.0 - plus1
+                    p2 = plus2 if sign > 0 else 1.0 - plus2
+                    np.testing.assert_array_equal(p1, (old_sign == sign).astype(float))
+                    np.testing.assert_array_equal(p2, (old_sign == -sign).astype(float))
 
     def test_responses_are_zero_one(self):
         model = DeterministicSignModel()
         lam = substream(31).uniform(0, 2 * math.pi, 1000)
-        for sign in (1, -1):
-            p = model.response1(sign, Axis(0.7), lam)
+        plus = model.plus1(Axis(0.7), lam)
+        for p in (plus, 1.0 - plus):
             assert np.isin(p, (0.0, 1.0)).all()
 
     def test_same_axis_anticorrelated_every_trial(self):
@@ -273,9 +274,11 @@ class TestStochasticDefect:
         model = DeterministicSignModel()
         assert stochastic_defect(model, Axis(0.3), 100_000, substream(38)) == 0.0
 
-    def test_constant_half_model(self):
-        value = stochastic_defect(ConstantResponseModel(0.5), Axis(0.3), 10_000, substream(39))
-        assert value == pytest.approx(0.5)
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
+    def test_constant_half_model(self, p):
+        # P(+) != P(-) off p = 0.5, so a swapped P(-) would show here
+        value = stochastic_defect(ConstantResponseModel(p), Axis(0.3), 10_000, substream(39))
+        assert value == pytest.approx(p**2 + (1.0 - p) ** 2)
 
     def test_empirical_anticorrelation_implies_small_defect(self):
         # a model whose same-axis counts show exact anticorrelation also has
@@ -333,6 +336,23 @@ class TestWignerMeasures:
                 "mc",
                 1000,
                 substream(45),
+            )
+
+    def test_determinism_is_checked_on_every_draw(self):
+        class LateStochasticModel:
+            """P(+) is 1 on the first 1,024 draws of lam and 1/2 after."""
+
+            def sample(self, rng, n):
+                return np.arange(n, dtype=float)
+
+            def plus1(self, a, lam):
+                return np.where(lam < 1024, 1.0, 0.5)
+
+            plus2 = plus1
+
+        with pytest.raises(ValueError, match="measure undefined"):
+            wigner_measure(
+                LateStochasticModel(), SubsetSpec([(Axis(0.0), 1)]), "mc", 4096, substream(47)
             )
 
     def test_analytic_mode_requires_builtin(self):
