@@ -5,7 +5,8 @@ factorized per-particle responses, p(A1, B2 | lam) = p(A1 | lam) p(B2 | lam).
 Each factor is a two-outcome law fixed by one number, so a model states
 only P(+1/2 | lam) along an axis for each sampled variable; P(-1/2 | lam)
 is 1 - P(+1/2 | lam) wherever it is needed, and normalization holds by
-construction.
+construction.  A deterministic model may state it as a boolean mask, which
+is P(+1/2 | lam) as 0 or 1.
 """
 
 from __future__ import annotations
@@ -76,10 +77,10 @@ class DeterministicSignModel:
         return rng.uniform(0.0, TAU, size=n)
 
     def plus1(self, a: Axis, lam: np.ndarray) -> np.ndarray:
-        return _cos_nonneg(lam - a.theta).astype(float)
+        return _cos_nonneg(lam - a.theta)
 
     def plus2(self, b: Axis, lam: np.ndarray) -> np.ndarray:
-        return (~_cos_nonneg(lam - b.theta)).astype(float)
+        return ~_cos_nonneg(lam - b.theta)
 
 
 class ConstantResponseModel:
@@ -278,8 +279,13 @@ def _arc_intersection_length(clauses) -> float:
 
 
 def _plus_mask(model: HVModel, axis: Axis, lam: np.ndarray) -> np.ndarray:
-    """Draws on which particle 1 answers +1/2 along axis; every P(+) must be 0 or 1."""
+    """Draws on which particle 1 answers +1/2 along axis; every P(+) must be 0 or 1.
+
+    A boolean P(+) is that mask already; a float one is checked on every draw.
+    """
     p = model.plus1(axis, lam)
+    if p.dtype == bool:
+        return p
     plus = p == 1.0
     if not (plus | (p == 0.0)).all():
         raise ValueError("measure undefined for stochastic models")
