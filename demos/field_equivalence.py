@@ -8,13 +8,11 @@ measurements along one axis are stable while different axes interfere.
 
 import math
 
-from bellfoundry.geometry import Axis, PLUS, MINUS
+from bellfoundry.geometry import Axis
 from bellfoundry.model2 import (
     FieldSuperposition,
-    HemiField,
     Hemisphere,
-    TwoPartyField,
-    equivalence_decompose,
+    decompose_field,
     measure_sphere,
     predictions_equal,
     prepare_sphere,
@@ -25,11 +23,9 @@ from bellfoundry.quantum import singlet_joint_probability
 from bellfoundry.rng import substream
 
 a, u = Axis(0.3), Axis(1.4)
-direct = FieldSuperposition([(1.0, HemiField(Hemisphere(a, 1)))])
-cp, cm = equivalence_decompose(a, u)
-rewritten = FieldSuperposition(
-    [(cp, HemiField(Hemisphere(u, 1))), (cm, HemiField(Hemisphere(u, -1)))]
-)
+direct = FieldSuperposition([(1.0, Hemisphere(a, 1))])
+cp, cm = decompose_field(Hemisphere(a, 1), u)
+rewritten = FieldSuperposition([(cp, Hemisphere(u, 1)), (cm, Hemisphere(u, -1))])
 grid = [Axis(k * math.pi / 16) for k in range(32)]
 print(f"F(+a) rewritten on the u axes with coefficients ({cp:.4f}, {cm:.4f})")
 print(f"identical predictions on a 32-axis grid: {predictions_equal(direct, rewritten, grid)}")
@@ -41,10 +37,10 @@ print(f"  e.g. P(+) along theta={probe.theta}: "
 print()
 c, b = Axis(0.0), Axis(math.pi / 3)
 for label in (Axis(0.0), Axis(1.0), Axis(2.5)):
-    p = two_party_prob(TwoPartyField(label), c, b, PLUS, MINUS)
+    p = two_party_prob(label, c, b, 1, -1)
     print(f"two-party P(+,-) with label axis {label.theta:.2f}: {p:.6f}")
 print(f"singlet value:                            "
-      f"{singlet_joint_probability(PLUS, c, MINUS, b):.6f}")
+      f"{singlet_joint_probability(1, c, -1, b):.6f}")
 
 print()
 rng = substream(4)
@@ -52,7 +48,7 @@ state = prepare_sphere(rng, Hemisphere(Axis(0.0), 1))
 sequence = []
 for axis in (Axis(0.0), Axis(0.0), Axis(math.pi / 2), Axis(0.0)):
     outcome, state = measure_sphere(rng, state, axis)
-    sequence.append((axis.theta, outcome.sign))
+    sequence.append((axis.theta, outcome))
 print("sequential single-sphere measurements (axis, outcome sign):")
 print(f"  {sequence}")
 print("repeats along one axis are stable; an interposed orthogonal axis")

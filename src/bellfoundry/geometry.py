@@ -1,16 +1,16 @@
 """Shared geometry, outcome, counting and statistics primitives.
 
 All measurement directions are coplanar with a fixed z reference, so an
-axis is a single angle.  Outcomes are spin projections +-1/2, stored as
-exact rationals so counting stays exact; floating point enters only when
-counts are aggregated into expectation values.
+axis is a single angle.  An outcome is a spin projection +-1/2 and is
+held as its sign, +1 or -1 (the projection is sign * V_MAX); batches
+hold boolean "+" masks instead.  Counts are integers, and floating point
+enters only when they are aggregated into expectation values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -92,29 +92,11 @@ def wrap_delta(a: Axis, b: Axis) -> float:
     return wrap_angle(b.theta - a.theta)
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """A spin-projection result, exactly +1/2 or -1/2."""
-
-    value: Fraction
-
-    def __post_init__(self):
-        value = Fraction(self.value)
-        if value not in (Fraction(1, 2), Fraction(-1, 2)):
-            raise ValueError(f"outcome must be +-1/2, got {value}")
-        object.__setattr__(self, "value", value)
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.value > 0 else -1
-
-
-PLUS = Outcome(Fraction(1, 2))
-MINUS = Outcome(Fraction(-1, 2))
-
-
-def outcome_from_sign(sign) -> Outcome:
-    return PLUS if sign > 0 else MINUS
+def sign_index(sign) -> int:
+    """Table index of an outcome sign: 0 for +1 (+1/2), 1 for -1 (-1/2)."""
+    if sign not in (1, -1):
+        raise ValueError(f"outcome sign must be +1 or -1, got {sign!r}")
+    return 0 if sign == 1 else 1
 
 
 @dataclass(frozen=True)
@@ -257,7 +239,7 @@ class ExpectationEstimate:
 
 
 def empirical_expectation(counts: PairCounts) -> ExpectationEstimate:
-    """Outcome-product average E = sum A1*B2*F(A1, B2) over the four cells.
+    """Average outcome product E = sum A1*B2*F(A1, B2) over the four cells.
 
     The per-trial product is +-1/4; the standard error is the sample
     standard deviation of that product divided by sqrt(n).

@@ -15,7 +15,6 @@ a time process; only the ensemble-level probability law is observable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,44 +25,9 @@ from .geometry import (
     V_MAX,
     counts_from_signs,
     hemisphere_pair_signs,
-    outcome_from_sign,
     sample_unit_vectors,
     wrap_delta,
 )
-
-
-@dataclass(frozen=True)
-class AngularMomentum:
-    """A unit angular-momentum vector (J = 1)."""
-
-    direction: np.ndarray
-
-    def __post_init__(self):
-        direction = np.asarray(self.direction, dtype=float)
-        if direction.shape != (3,):
-            raise ValueError("direction must be a 3-vector")
-        if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
-            raise ValueError("direction must be a unit vector")
-        direction.setflags(write=False)
-        object.__setattr__(self, "direction", direction)
-
-
-@dataclass(frozen=True)
-class PairConfiguration:
-    """Two angular momenta with exact total-momentum conservation."""
-
-    j1: AngularMomentum
-    j2: AngularMomentum
-
-    def __post_init__(self):
-        if np.abs(self.j1.direction + self.j2.direction).max() > 1e-12:
-            raise ValueError("angular momenta must sum to zero")
-
-
-def sample_pair(rng: np.random.Generator) -> PairConfiguration:
-    """Draw one pair: J1 uniform on the sphere, J2 = -J1."""
-    j1 = sample_unit_vectors(rng, 1)[0]
-    return PairConfiguration(AngularMomentum(j1), AngularMomentum(-j1))
 
 
 def single_measure_prob(label: Hemisphere, b: Axis) -> tuple:
@@ -79,10 +43,10 @@ def single_measure_prob(label: Hemisphere, b: Axis) -> tuple:
 def measure_single(
     rng: np.random.Generator, label: Hemisphere, b: Axis
 ) -> tuple:
-    """Sample one outcome along b; subsequent measurements see the b ensemble."""
+    """Sample one outcome sign along b; subsequent measurements see the b ensemble."""
     p_plus, _ = single_measure_prob(label, b)
     sign = 1 if rng.random() < p_plus else -1
-    return outcome_from_sign(sign), Hemisphere(b, sign)
+    return sign, Hemisphere(b, sign)
 
 
 def epr_trial(
@@ -90,23 +54,22 @@ def epr_trial(
 ) -> tuple:
     """One two-particle trial: particle `first_particle` along a, the other along b.
 
-    The first outcome is the hemisphere of the measured particle's vector
-    (boundary J.a = 0 counts as +); the partner collapses to the opposite
-    hemisphere ensemble along a and is measured along b by the
-    single-particle law.
+    J1 is uniform on the sphere and J2 = -J1.  The first outcome is the
+    hemisphere of the measured particle's vector (boundary J.a = 0 counts
+    as +); the partner collapses to the opposite hemisphere ensemble along
+    a and is measured along b by the single-particle law.  Returns the
+    outcome signs of particles 1 and 2.
     """
     if first_particle not in (1, 2):
         raise ValueError("first_particle must be 1 or 2")
-    pair = sample_pair(rng)
-    measured = pair.j1 if first_particle == 1 else pair.j2
-    s1 = 1 if Hemisphere(a, 1).contains(measured.direction) else -1
+    j1 = sample_unit_vectors(rng, 1)[0]
+    measured = j1 if first_particle == 1 else -j1
+    s1 = 1 if Hemisphere(a, 1).contains(measured) else -1
     p_plus, _ = single_measure_prob(Hemisphere(a, -s1), b)
     s2 = 1 if rng.random() < p_plus else -1
-    r_first = outcome_from_sign(s1)
-    r_second = outcome_from_sign(s2)
     if first_particle == 1:
-        return r_first, r_second
-    return r_second, r_first
+        return s1, s2
+    return s2, s1
 
 
 def sample_trial_counts(
@@ -126,7 +89,7 @@ def sample_trial_counts(
 
 
 def pointwise_rule_expectation(a: Axis, b: Axis) -> float:
-    """Outcome average if a fixed pointwise rule R_b = sign(J.b)/2 held.
+    """Average outcome if a fixed pointwise rule R_b = sign(J.b)/2 held.
 
     Conditioning the deterministic hemisphere rule on the ensemble along a
     gives an expectation linear in the angle difference, distinguishable

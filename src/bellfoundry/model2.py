@@ -3,20 +3,22 @@
 A single spin-1/2 is a unit sphere carrying a scalar field supported on
 one hemisphere (value = projection on the hemisphere axis, Eq.-style
 r.a/pi with radius 1) plus a point particle that must sit inside the
-field's support.  A measurement along b rotates the field toward the
-apparatus axes; the outcome probabilities are squared averages of the
-rotated field over the half-rotated hemispheres, which gives the
-half-angle law P(+) = cos((theta_b - theta_a)/2)**2.
+field's support.  A field is therefore its support ``Hemisphere``.  A
+measurement along b rotates the field toward the apparatus axes.
+
+One half-angle amplitude carries every prediction: ``decompose_field``
+rewrites a field on the two hemispheres of any axis u, and its
+coefficients are the amplitudes of the outcomes +1/2 and -1/2 along u.
+Probabilities are their squares, so a + field along a gives
+P(+) = cos((theta_b - theta_a)/2)**2.  Pointwise field values are kept
+for particle-membership logic and quadrature validation.
 
 Fields superpose linearly, and superpositions on different hemispheres
 can give identical predictions along every axis: an equivalence class.
-All closed-form probabilities are evaluated through half-angle amplitude
-bookkeeping; pointwise field values are kept for particle-membership
-logic and quadrature validation.
 
 Two correlated particles carry the antisymmetric two-sphere field
-F1(+a) F2(-a) - F1(-a) F2(+a); its predictions do not depend on the
-label axis a, so any representative may be used.
+F1(+a) F2(-a) - F1(-a) F2(+a), named by its label axis a; its
+predictions do not depend on a, so any representative may be used.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ import numpy as np
 from .geometry import (
     Axis,
     Hemisphere,
-    Outcome,
     PairCounts,
     counts_from_signs,
     hemisphere_pair_signs,
-    outcome_from_sign,
     sample_unit_vectors,
+    sign_index,
     wrap_delta,
 )
 
@@ -42,32 +43,25 @@ SPHERE_RADIUS = 1.0
 
 
 @dataclass(frozen=True)
-class HemiField:
-    """Scalar field r.axis / (pi R^2) on its support hemisphere, 0 elsewhere."""
-
-    support: Hemisphere
-
-
-@dataclass(frozen=True)
 class FieldSuperposition:
-    """Linear combination of hemifields: list of (coefficient, HemiField)."""
+    """Linear combination of hemifields: pairs (coefficient, support Hemisphere)."""
 
     terms: tuple
 
     def __init__(self, terms):
         terms = tuple((float(c), f) for c, f in terms)
         for _, f in terms:
-            if not isinstance(f, HemiField):
-                raise TypeError("terms must pair coefficients with HemiField")
+            if not isinstance(f, Hemisphere):
+                raise TypeError("terms must pair coefficients with a Hemisphere")
         object.__setattr__(self, "terms", terms)
 
 
-def field_value(f: HemiField, r: np.ndarray) -> float:
-    """Pointwise field value at a surface point r."""
+def field_value(f: Hemisphere, r: np.ndarray) -> float:
+    """Pointwise value at a surface point r of the hemifield supported on f."""
     r = np.asarray(r, dtype=float)
-    if not f.support.contains(r):
+    if not f.contains(r):
         return 0.0
-    center = Axis(f.support.effective_angle)
+    center = Axis(f.effective_angle)
     return float(r @ center.unit_vector) / (math.pi * SPHERE_RADIUS**2)
 
 
@@ -80,53 +74,37 @@ def hemi_average(field_axis: Axis, average_hemisphere: Hemisphere) -> float:
     return math.cos(field_axis.theta - average_hemisphere.effective_angle)
 
 
-def measure_prob_single(initial: Hemisphere, b: Axis) -> tuple:
-    """(P_plus, P_minus) for a measurement along b on a single hemifield.
+def decompose_field(field: Hemisphere, u: Axis) -> tuple:
+    """The half-angle amplitudes (c_plus, c_minus) of a hemifield along u.
 
-    The apparatus rotates the field toward the measurement axes; the
-    outcome probability is the squared average of the rotated field over
-    the half-rotated hemisphere, cos((theta_b - theta_initial)/2)**2 for +
-    and sin(...)**2 for -, normalized by their sum.
+    F ~ c_plus F(+u) + c_minus F(-u), so F(+a) gives cos and sin of
+    (theta_u - theta_a)/2.  The coefficients compose under repeated
+    rewriting by the half-angle addition rules, and their squares are
+    the outcome probabilities along u.
     """
-    half = (b.theta - initial.effective_angle) / 2.0
-    p_plus = math.cos(half) ** 2
-    return p_plus, 1.0 - p_plus
-
-
-def equivalence_decompose(a: Axis, u: Axis) -> tuple:
-    """Coefficients (c_plus, c_minus) with F(+a) ~ c_plus F(+u) + c_minus F(-u)."""
-    return decompose_field(HemiField(Hemisphere(a, 1)), u)
-
-
-def decompose_field(f: HemiField, u: Axis) -> tuple:
-    """Rewrite any hemifield on the u hemispheres: (c_plus, c_minus).
-
-    Extends equivalence_decompose to minus-sign fields; the coefficients
-    compose under repeated rewriting by the half-angle addition rules.
-    """
-    half = (u.theta - f.support.axis.theta) / 2.0
-    if f.support.sign > 0:
+    half = (u.theta - field.axis.theta) / 2.0
+    if field.sign > 0:
         return math.cos(half), math.sin(half)
     return -math.sin(half), math.cos(half)
 
 
-def _term_amplitude(f: HemiField, b: Axis, outcome_sign: int) -> float:
-    """Half-angle amplitude of one hemifield for an outcome along b.
+def measure_prob_single(initial: Hemisphere, b: Axis) -> tuple:
+    """(P_plus, P_minus) for a measurement along b on a single hemifield.
 
-    Chosen so that a + field along a gives cos((theta_a - theta_b)/2) for
-    the + outcome and the decomposition coefficients compose like
-    half-angle rotations; probabilities are amplitude squares.
+    The apparatus rotates the field toward the measurement axes; each
+    outcome's probability is its squared amplitude along b.
     """
-    half = (f.support.axis.theta - b.theta) / 2.0
-    if f.support.sign > 0:
-        return math.cos(half) if outcome_sign > 0 else -math.sin(half)
-    return math.sin(half) if outcome_sign > 0 else math.cos(half)
+    c_plus, c_minus = decompose_field(initial, b)
+    return c_plus**2, c_minus**2
 
 
 def superposition_probabilities(f: FieldSuperposition, b: Axis) -> tuple:
     """(P_plus, P_minus) for a measurement along b on a field superposition."""
-    amp_plus = sum(c * _term_amplitude(t, b, 1) for c, t in f.terms)
-    amp_minus = sum(c * _term_amplitude(t, b, -1) for c, t in f.terms)
+    amp_plus = amp_minus = 0.0
+    for c, t in f.terms:
+        plus, minus = decompose_field(t, b)
+        amp_plus += c * plus
+        amp_minus += c * minus
     norm = amp_plus**2 + amp_minus**2
     if norm <= 0.0:
         raise ValueError("field superposition vanishes")
@@ -148,78 +126,49 @@ def predictions_equal(
     return True
 
 
-def rhs_particle_prob(u: Axis, a: Axis, sign: int) -> float:
-    """Particle-hemisphere probability inside the decomposed field.
+def two_party_prob(label: Axis, c: Axis, b: Axis, c1: int, b2: int) -> float:
+    """Joint probability for outcome signs (c1 along c, b2 along b).
 
-    After rewriting F(+a) on the u hemispheres the particle distribution
-    follows the term weights: P(U = sign/2) = cos((theta_c - theta_a)/2)**2,
-    with theta_c the center of the signed u hemisphere.
+    The amplitude of the two-sphere field labeled by ``label`` combines
+    each particle's half-angle amplitudes over the two product terms,
+    normalized by 2.  The result depends only on theta_b - theta_c,
+    never on the label axis.  Opposite signs have probability
+    cos((theta_b - theta_c)/2)**2 / 2 and same signs sin(...)**2 / 2,
+    the singlet law.
     """
-    return math.cos((Hemisphere(u, sign).effective_angle - a.theta) / 2.0) ** 2
-
-
-@dataclass(frozen=True)
-class TwoPartyField:
-    """The antisymmetric two-sphere field F1(+a) F2(-a) - F1(-a) F2(+a)."""
-
-    label_axis: Axis
-
-
-def _rotated_average(field_angle: float, meas: Axis, outcome_sign: int) -> float:
-    """Average of the rotated field over the half-rotated hemisphere.
-
-    The apparatus axis for outcome -1/2 is the antipode of the measurement
-    axis; the average is cos of half the angle from the field axis to the
-    outcome's apparatus axis.
-    """
-    outcome_angle = Hemisphere(meas, outcome_sign).effective_angle
-    return math.cos((outcome_angle - field_angle) / 2.0)
-
-
-def two_party_prob(f: TwoPartyField, c: Axis, b: Axis, c1: Outcome, b2: Outcome) -> float:
-    """Joint probability for outcomes (c1 along c, b2 along b).
-
-    Combines the two product terms of the antisymmetric field through the
-    half-rotated averages of each particle's field, normalized by 2.  The
-    result depends only on theta_b - theta_c, never on the label axis:
-    P(opposite signs) = cos((theta_b - theta_c)/2)**2 / 2 and
-    P(same signs) = sin(...)**2 / 2, the singlet law.
-    """
-    a_plus = f.label_axis.theta
-    a_minus = a_plus + math.pi
-    amplitude = _rotated_average(a_plus, c, c1.sign) * _rotated_average(
-        a_minus, b, b2.sign
-    ) - _rotated_average(a_minus, c, c1.sign) * _rotated_average(a_plus, b, b2.sign)
+    i, j = sign_index(c1), sign_index(b2)
+    plus, minus = Hemisphere(label, 1), Hemisphere(label, -1)
+    amplitude = (
+        decompose_field(plus, c)[i] * decompose_field(minus, b)[j]
+        - decompose_field(minus, c)[i] * decompose_field(plus, b)[j]
+    )
     return amplitude**2 / 2.0
 
 
-def conditional_inference(
-    f: TwoPartyField, measured_axis: Axis, a1: Outcome, b: Axis
-) -> tuple:
+def conditional_inference(label: Axis, measured_axis: Axis, a1: int, b: Axis) -> tuple:
     """(P(B2=+|A1), P(B2=-|A1)) when the first measurement is unperturbing.
 
     Valid only when the field representative is labeled by the measured
     axis, in which case the first outcome reveals the particle hemisphere
     and the partner's field reduces to the opposite single hemifield.
     """
-    if abs(wrap_delta(f.label_axis, measured_axis)) > 1e-12:
+    if abs(wrap_delta(label, measured_axis)) > 1e-12:
         raise ValueError("inference undefined: field label does not match measured axis")
-    return measure_prob_single(Hemisphere(f.label_axis, -a1.sign), b)
+    return measure_prob_single(Hemisphere(label, -a1), b)
 
 
 def epr_trial_model2(rng: np.random.Generator, first_axis: Axis, second_axis: Axis) -> tuple:
-    """One two-particle trial using the representative labeled by first_axis.
+    """One two-particle trial, outcome signs (s1, s2), labeled by first_axis.
 
     r1 is uniform with r2 = -r1; the first outcome is r1's hemisphere
     along first_axis (no perturbation), the second is drawn from the
     conditional single-subsystem law.
     """
-    f = TwoPartyField(first_axis)
     r1 = sample_unit_vectors(rng, 1)[0]
     s1 = 1 if Hemisphere(first_axis, 1).contains(r1) else -1
-    p_plus, _ = conditional_inference(f, first_axis, outcome_from_sign(s1), second_axis)
+    p_plus, _ = conditional_inference(first_axis, first_axis, s1, second_axis)
     s2 = 1 if rng.random() < p_plus else -1
-    return outcome_from_sign(s1), outcome_from_sign(s2)
+    return s1, s2
 
 
 def sample_trial_counts(
@@ -251,7 +200,7 @@ def prepare_sphere(rng: np.random.Generator, field: Hemisphere) -> SphereState:
 
 
 def measure_sphere(rng: np.random.Generator, state: SphereState, b: Axis) -> tuple:
-    """Sequential single-sphere measurement along b.
+    """Sequential single-sphere measurement along b: (outcome sign, new state).
 
     The field rotates onto the b hemisphere matching the outcome, and the
     particle is redrawn uniformly inside the post-measurement hemisphere
@@ -261,4 +210,4 @@ def measure_sphere(rng: np.random.Generator, state: SphereState, b: Axis) -> tup
     p_plus, _ = measure_prob_single(state.field, b)
     sign = 1 if rng.random() < p_plus else -1
     post = Hemisphere(b, sign)
-    return outcome_from_sign(sign), prepare_sphere(rng, post)
+    return sign, prepare_sphere(rng, post)

@@ -48,7 +48,7 @@ def _lambda_blocks(n: int):
 
 
 def half_circle_overlap_quadrature(theta_a: float, theta_b: float, n: int = 2_000_000) -> float:
-    """Fraction of the circle where cos(lam - theta_a) and cos(lam - theta_b) are both >= 0."""
+    """Share of the circle where cos(lam - theta_a) and cos(lam - theta_b) are both >= 0."""
     inside = 0
     for lam in _lambda_blocks(n):
         both = (np.cos(lam - theta_a) >= 0.0) & (np.cos(lam - theta_b) >= 0.0)
@@ -72,7 +72,7 @@ def sign_model_expectation_quadrature(delta: float, n: int = 2_000_000) -> float
 
 
 def singlet_expectation_from_cells(delta: float) -> float:
-    """Outcome-weighted sum over the four singlet joint-probability cells."""
+    """The four singlet joint-probability cells weighted by their outcome products, summed."""
     same = 0.5 * math.sin(delta / 2.0) ** 2
     opposite = 0.5 * math.cos(delta / 2.0) ** 2
     total = 0.0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Axis, Outcome, PairCounts, V_MAX, wrap_delta
+from .geometry import Axis, PairCounts, V_MAX, sign_index, wrap_delta
 from .linalg import HERMITICITY_TOL, spectral_norm
 from .rng import substream
 
@@ -44,9 +44,9 @@ class HermitianOperator:
         object.__setattr__(self, "entries", entries)
 
 
-def singlet_joint_probability(a1: Outcome, a: Axis, b2: Outcome, b: Axis) -> float:
+def singlet_joint_probability(a1: int, a: Axis, b2: int, b: Axis) -> float:
     """One cell of singlet_joint_table: the probability of outcomes (a1, b2) along (a, b)."""
-    return float(singlet_joint_table(a, b)[(1 - a1.sign) // 2, (1 - b2.sign) // 2])
+    return float(singlet_joint_table(a, b)[sign_index(a1), sign_index(b2)])
 
 
 def singlet_expectation(a: Axis, b: Axis) -> float:

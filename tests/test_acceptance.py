@@ -16,8 +16,6 @@ from bellfoundry.engine import MODELS, chsh_std_error, run_pair_counts
 from bellfoundry.geometry import (
     Axis,
     BELL_BOUND,
-    MINUS,
-    PLUS,
     TSIRELSON_BOUND,
     empirical_expectation,
 )
@@ -33,10 +31,8 @@ from bellfoundry.lhv import (
 )
 from bellfoundry.model2 import (
     FieldSuperposition,
-    HemiField,
     Hemisphere,
-    TwoPartyField,
-    equivalence_decompose,
+    decompose_field,
     predictions_equal,
     two_party_prob,
 )
@@ -179,18 +175,16 @@ def test_criterion_7_equivalence_classes():
     ok = True
     for _ in range(20):
         a, u = (Axis(t) for t in rng.uniform(0.0, 2.0 * math.pi, size=2))
-        direct = FieldSuperposition([(1.0, HemiField(Hemisphere(a, 1)))])
-        cp, cm = equivalence_decompose(a, u)
-        rewritten = FieldSuperposition(
-            [(cp, HemiField(Hemisphere(u, 1))), (cm, HemiField(Hemisphere(u, -1)))]
-        )
+        direct = FieldSuperposition([(1.0, Hemisphere(a, 1))])
+        cp, cm = decompose_field(Hemisphere(a, 1), u)
+        rewritten = FieldSuperposition([(cp, Hemisphere(u, 1)), (cm, Hemisphere(u, -1))])
         ok &= predictions_equal(direct, rewritten, grid, tolerance=1e-10)
     c, b = Axis(0.4), Axis(1.7)
     labels = [Axis(k * 2.0 * math.pi / 16) for k in range(16)]
-    for o1, o2 in itertools.product((PLUS, MINUS), repeat=2):
-        base = two_party_prob(TwoPartyField(labels[0]), c, b, o1, o2)
+    for o1, o2 in itertools.product((1, -1), repeat=2):
+        base = two_party_prob(labels[0], c, b, o1, o2)
         for label in labels[1:]:
-            ok &= abs(two_party_prob(TwoPartyField(label), c, b, o1, o2) - base) <= 1e-12
+            ok &= abs(two_party_prob(label, c, b, o1, o2) - base) <= 1e-12
     _report(7, "equivalence classes", ok)
 
 

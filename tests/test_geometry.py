@@ -8,20 +8,21 @@ from bellfoundry.lhv import SubsetSpec
 from bellfoundry.geometry import (
     Axis,
     Hemisphere,
-    MINUS,
-    Outcome,
-    PLUS,
     PairCounts,
     V_MAX,
     counts_from_signs,
     empirical_expectation,
     hemisphere_pair_signs,
     sample_unit_vectors,
+    sign_index,
     wrap_delta,
 )
-from bellfoundry.quantum import sample_singlet_counts, singlet_expectation
+from bellfoundry.quantum import (
+    sample_singlet_counts,
+    singlet_expectation,
+    singlet_joint_probability,
+)
 from bellfoundry.rng import substream
-from fractions import Fraction
 
 
 class TestAxis:
@@ -108,16 +109,27 @@ class TestHemisphere:
         assert minus.contains(nan_rows).tolist() == [False, False]
 
 
-class TestOutcome:
-    def test_only_half_values(self):
-        assert PLUS.sign == 1
-        assert MINUS.sign == -1
-        with pytest.raises(ValueError):
-            Outcome(Fraction(1))
+class TestSignIndex:
+    def test_plus_is_row_0_and_minus_row_1(self):
+        assert sign_index(1) == 0
+        assert sign_index(-1) == 1
 
-    def test_magnitude_is_vmax(self):
-        assert abs(PLUS.value) == Fraction(1, 2)
-        assert float(abs(MINUS.value)) == V_MAX
+    @pytest.mark.parametrize("sign", [0, 2, 0.5])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: sign_index(s),
+            lambda s: singlet_joint_probability(s, Axis(0.0), 1, Axis(1.0)),
+            lambda s: singlet_joint_probability(1, Axis(0.0), s, Axis(1.0)),
+            lambda s: model2.two_party_prob(Axis(0.3), Axis(0.0), Axis(1.0), s, 1),
+            lambda s: model2.two_party_prob(Axis(0.3), Axis(0.0), Axis(1.0), 1, s),
+            lambda s: model2.conditional_inference(Axis(0.3), Axis(0.3), s, Axis(1.0)),
+        ],
+        ids=["sign_index", "singlet_a1", "singlet_b2", "two_party_c1", "two_party_b2", "inference"],
+    )
+    def test_only_unit_signs(self, call, sign):
+        with pytest.raises(ValueError, match="sign must be"):
+            call(sign)
 
 
 class TestEmpiricalExpectation:
@@ -201,6 +213,10 @@ class TestSampleUnitVectors:
         assert np.array_equal(
             sample_unit_vectors(substream(5), 1), v / np.linalg.norm(v, axis=1, keepdims=True)
         )
+
+    def test_uniform_mean(self):
+        dirs = sample_unit_vectors(substream(51), 20_000)
+        assert np.abs(dirs.mean(axis=0)).max() < 5.0 / math.sqrt(3 * 20_000)
 
 
 class RowDraws:

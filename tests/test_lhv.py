@@ -7,8 +7,6 @@ import pytest
 from bellfoundry.geometry import (
     Axis,
     BELL_BOUND,
-    MINUS,
-    PLUS,
     TAU,
     V_MAX,
     counts_from_signs,
@@ -427,9 +425,9 @@ class TestQuantumWignerViolation:
         for _ in range(100):
             a, ap, b = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=3))
             lhs, rhs, _ = quantum_wigner_violation(a, ap, b)
-            lhs_q = 2 * singlet_joint_probability(PLUS, ap, MINUS, b)
-            rhs_q = 2 * singlet_joint_probability(PLUS, a, MINUS, b) - 2 * singlet_joint_probability(
-                PLUS, a, PLUS, ap
+            lhs_q = 2 * singlet_joint_probability(1, ap, -1, b)
+            rhs_q = 2 * singlet_joint_probability(1, a, -1, b) - 2 * singlet_joint_probability(
+                1, a, 1, ap
             )
             assert lhs == pytest.approx(lhs_q, abs=1e-12)
             assert rhs == pytest.approx(rhs_q, abs=1e-12)

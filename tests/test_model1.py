@@ -11,12 +11,9 @@ from bellfoundry.geometry import (
     wrap_delta,
 )
 from bellfoundry.model1 import (
-    AngularMomentum,
-    PairConfiguration,
     epr_trial,
     measure_single,
     pointwise_rule_expectation,
-    sample_pair,
     sample_pointwise_rule_counts,
     sample_trial_counts,
     single_measure_prob,
@@ -24,29 +21,6 @@ from bellfoundry.model1 import (
 from bellfoundry.oracles import hemi_average_quadrature, hemisphere_conditional_fraction
 from bellfoundry.quantum import singlet_expectation
 from bellfoundry.rng import substream
-
-
-class TestConfiguration:
-    def test_angular_momentum_must_be_unit(self):
-        with pytest.raises(ValueError):
-            AngularMomentum(np.array([0.0, 0.0, 2.0]))
-
-    def test_pair_must_conserve(self):
-        j = AngularMomentum(np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(ValueError):
-            PairConfiguration(j, j)
-
-    def test_sample_pair_conserves_and_is_unit(self):
-        rng = substream(50)
-        for _ in range(20):
-            pair = sample_pair(rng)
-            assert np.allclose(pair.j1.direction + pair.j2.direction, 0.0)
-            assert np.linalg.norm(pair.j1.direction) == pytest.approx(1.0)
-
-    def test_sample_pair_uniform_mean(self):
-        rng = substream(51)
-        dirs = np.array([sample_pair(rng).j1.direction for _ in range(20_000)])
-        assert np.abs(dirs.mean(axis=0)).max() < 5.0 / math.sqrt(3 * 20_000)
 
 
 class TestEnsembleLaw:
@@ -77,7 +51,7 @@ class TestEnsembleLaw:
         outcome, label = measure_single(rng, Hemisphere(Axis(0.0), 1), Axis(0.7))
         assert isinstance(label, Hemisphere)
         assert label.axis.theta == pytest.approx(0.7)
-        assert label.sign == outcome.sign
+        assert label.sign == outcome
 
 
 REFERENCE_PAIRS = [(0.0, 0.0), (0.3, 1.1), (5.9, 4.2), (0.0, math.pi), (2.0, 2.0 + math.pi / 2)]
@@ -128,7 +102,7 @@ class TestEprTrials:
         a, b = Axis(0.0), Axis(math.pi / 4)
         rng = substream(58)
         n = 20_000
-        signs = np.array([[o1.sign, o2.sign] for o1, o2 in (epr_trial(rng, a, b) for _ in range(n))])
+        signs = np.array([epr_trial(rng, a, b) for _ in range(n)])
         value = (signs[:, 0] * signs[:, 1]).mean() / 4.0
         est = empirical_expectation(sample_trial_counts(substream(59), a, b, n))
         tol = 5 * math.sqrt(2) * est.std_error

@@ -6,34 +6,28 @@ import pytest
 from bellfoundry import model1
 from bellfoundry.geometry import (
     Axis,
-    MINUS,
-    PLUS,
     counts_from_signs,
     empirical_expectation,
     wrap_delta,
 )
 from bellfoundry.model2 import (
     FieldSuperposition,
-    HemiField,
     Hemisphere,
-    TwoPartyField,
     conditional_inference,
     decompose_field,
     epr_trial_model2,
-    equivalence_decompose,
     field_value,
     hemi_average,
     measure_prob_single,
     measure_sphere,
     predictions_equal,
     prepare_sphere,
-    rhs_particle_prob,
     sample_trial_counts,
     superposition_probabilities,
     two_party_prob,
 )
 from bellfoundry.oracles import hemi_average_quadrature
-from bellfoundry.quantum import singlet_expectation, singlet_joint_probability
+from bellfoundry.quantum import singlet_expectation, singlet_joint_probability, spin_operator
 from bellfoundry.rng import substream
 
 GRID = [Axis(k * math.pi / 7) for k in range(14)]
@@ -41,15 +35,15 @@ GRID = [Axis(k * math.pi / 7) for k in range(14)]
 
 class TestHemiField:
     def test_field_vanishes_off_support(self):
-        f = HemiField(Hemisphere(Axis(0.0), 1))
+        f = Hemisphere(Axis(0.0), 1)
         assert field_value(f, np.array([0.0, 0.0, -1.0])) == 0.0
 
     def test_field_peaks_at_center(self):
-        f = HemiField(Hemisphere(Axis(0.0), 1))
+        f = Hemisphere(Axis(0.0), 1)
         assert field_value(f, np.array([0.0, 0.0, 1.0])) == pytest.approx(1.0 / math.pi)
 
     def test_minus_support_is_antipodal(self):
-        f = HemiField(Hemisphere(Axis(0.0), -1))
+        f = Hemisphere(Axis(0.0), -1)
         assert field_value(f, np.array([0.0, 0.0, -1.0])) == pytest.approx(1.0 / math.pi)
         assert field_value(f, np.array([0.0, 0.0, 1.0])) == 0.0
 
@@ -84,7 +78,7 @@ class TestEquivalence:
         rng = substream(71)
         for _ in range(50):
             a, u = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
-            cp, cm = equivalence_decompose(a, u)
+            cp, cm = decompose_field(Hemisphere(a, 1), u)
             assert cp**2 + cm**2 == pytest.approx(1.0)
 
     def test_equals_the_old_half_angle_form(self):
@@ -95,20 +89,15 @@ class TestEquivalence:
             for tu in angles:
                 a, u = Axis(ta), Axis(tu)
                 half = (u.theta - a.theta) / 2.0
-                assert equivalence_decompose(a, u) == (math.cos(half), math.sin(half))
+                assert decompose_field(Hemisphere(a, 1), u) == (math.cos(half), math.sin(half))
 
     def test_decomposition_preserves_predictions(self):
         rng = substream(72)
         for _ in range(25):
             a, u = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
-            direct = FieldSuperposition([(1.0, HemiField(Hemisphere(a, 1)))])
-            cp, cm = equivalence_decompose(a, u)
-            rewritten = FieldSuperposition(
-                [
-                    (cp, HemiField(Hemisphere(u, 1))),
-                    (cm, HemiField(Hemisphere(u, -1))),
-                ]
-            )
+            direct = FieldSuperposition([(1.0, Hemisphere(a, 1))])
+            cp, cm = decompose_field(Hemisphere(a, 1), u)
+            rewritten = FieldSuperposition([(cp, Hemisphere(u, 1)), (cm, Hemisphere(u, -1))])
             assert predictions_equal(direct, rewritten, GRID)
 
     def test_composition_of_rewrites(self):
@@ -116,33 +105,37 @@ class TestEquivalence:
         rng = substream(73)
         for _ in range(25):
             a, u, v = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=3))
-            cp, cm = equivalence_decompose(a, u)
-            pp, pm = decompose_field(HemiField(Hemisphere(u, 1)), v)
-            mp, mm = decompose_field(HemiField(Hemisphere(u, -1)), v)
+            cp, cm = decompose_field(Hemisphere(a, 1), u)
+            pp, pm = decompose_field(Hemisphere(u, 1), v)
+            mp, mm = decompose_field(Hemisphere(u, -1), v)
             via_u = (cp * pp + cm * mp, cp * pm + cm * mm)
-            direct = equivalence_decompose(a, v)
+            direct = decompose_field(Hemisphere(a, 1), v)
             assert via_u[0] == pytest.approx(direct[0], abs=1e-12)
             assert via_u[1] == pytest.approx(direct[1], abs=1e-12)
 
     def test_rhs_particle_prob_examples(self):
+        # after rewriting F(+a) on the u hemispheres, the particle lies in
+        # the +u or -u hemisphere with the squared coefficients as weights
         a = Axis(0.6)
-        assert rhs_particle_prob(a, a, 1) == pytest.approx(1.0)
-        assert rhs_particle_prob(a, a, -1) == pytest.approx(0.0)
-        u = Axis(a.theta + math.pi / 2)
-        assert rhs_particle_prob(u, a, 1) == pytest.approx(0.5)
-        assert rhs_particle_prob(u, a, -1) == pytest.approx(0.5)
+        cp, cm = decompose_field(Hemisphere(a, 1), a)
+        assert cp**2 == pytest.approx(1.0)
+        assert cm**2 == pytest.approx(0.0)
+        cp, cm = decompose_field(Hemisphere(a, 1), Axis(a.theta + math.pi / 2))
+        assert cp**2 == pytest.approx(0.5)
+        assert cm**2 == pytest.approx(0.5)
 
     def test_rhs_particle_prob_normalized(self):
         rng = substream(74)
         for _ in range(50):
             a, u = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
-            total = rhs_particle_prob(u, a, 1) + rhs_particle_prob(u, a, -1)
-            assert total == pytest.approx(1.0)
+            for sign in (1, -1):
+                cp, cm = decompose_field(Hemisphere(a, sign), u)
+                assert cp**2 + cm**2 == pytest.approx(1.0)
 
     def test_superposition_rejects_vanishing_field(self):
         a = Axis(0.0)
         f = FieldSuperposition(
-            [(1.0, HemiField(Hemisphere(a, 1))), (-1.0, HemiField(Hemisphere(a, 1)))]
+            [(1.0, Hemisphere(a, 1)), (-1.0, Hemisphere(a, 1))]
         )
         with pytest.raises(ValueError):
             superposition_probabilities(f, Axis(0.3))
@@ -153,38 +146,68 @@ class TestTwoPartyField:
         rng = substream(75)
         for _ in range(100):
             label, tc, tb = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=3))
-            f = TwoPartyField(label)
-            for o1 in (PLUS, MINUS):
-                for o2 in (PLUS, MINUS):
-                    p = two_party_prob(f, tc, tb, o1, o2)
+            for o1 in (1, -1):
+                for o2 in (1, -1):
+                    p = two_party_prob(label, tc, tb, o1, o2)
                     assert p == pytest.approx(
                         singlet_joint_probability(o1, tc, o2, tb), abs=1e-12
                     )
 
     def test_label_axis_irrelevant(self):
         c, b = Axis(0.4), Axis(1.9)
-        base = two_party_prob(TwoPartyField(Axis(0.0)), c, b, PLUS, MINUS)
+        base = two_party_prob(Axis(0.0), c, b, 1, -1)
         for label in GRID:
-            assert two_party_prob(TwoPartyField(label), c, b, PLUS, MINUS) == pytest.approx(
-                base, abs=1e-12
-            )
+            assert two_party_prob(label, c, b, 1, -1) == pytest.approx(base, abs=1e-12)
 
     def test_conditional_inference_matches_joint(self):
         rng = substream(76)
         for _ in range(50):
             a, b = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
-            f = TwoPartyField(a)
-            for o1 in (PLUS, MINUS):
-                p_plus, p_minus = conditional_inference(f, a, o1, b)
+            for o1 in (1, -1):
+                p_plus, p_minus = conditional_inference(a, a, o1, b)
                 marginal = 0.5  # first outcome is unbiased
-                joint_plus = two_party_prob(f, a, b, o1, PLUS)
+                joint_plus = two_party_prob(a, a, b, o1, 1)
                 assert p_plus == pytest.approx(joint_plus / marginal, abs=1e-12)
                 assert p_plus + p_minus == pytest.approx(1.0)
 
     def test_inference_needs_matching_label(self):
-        f = TwoPartyField(Axis(0.0))
         with pytest.raises(ValueError, match="inference undefined"):
-            conditional_inference(f, Axis(0.3), PLUS, Axis(1.0))
+            conditional_inference(Axis(0.0), Axis(0.3), 1, Axis(1.0))
+
+
+def eigenprojector(axis, sign):
+    """Projector onto the eigenvector of spin_operator(axis) with eigenvalue sign/2."""
+    values, vectors = np.linalg.eigh(spin_operator(axis).entries)
+    v = vectors[:, values * sign > 0]
+    return v @ v.conj().T
+
+
+SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)  # (|+-> - |-+>)/sqrt(2)
+
+
+class TestBornRule:
+    """The half-angle amplitude against eigen-solved spin states, with no half-angle formula."""
+
+    def test_single_hemifield_is_a_spin_eigenstate(self):
+        rng = substream(84)
+        for _ in range(200):
+            a, b = (Axis(t) for t in rng.uniform(-2 * math.pi, 4 * math.pi, size=2))
+            for field_sign in (1, -1):
+                state = eigenprojector(a, field_sign)
+                got = measure_prob_single(Hemisphere(a, field_sign), b)
+                for k, sign in enumerate((1, -1)):
+                    born = np.trace(eigenprojector(b, sign) @ state).real
+                    assert abs(got[k] - born) < 1e-12
+
+    def test_two_party_field_is_the_singlet_state(self):
+        rng = substream(85)
+        for _ in range(200):
+            label, c, b = (Axis(t) for t in rng.uniform(-2 * math.pi, 4 * math.pi, size=3))
+            for s1 in (1, -1):
+                for s2 in (1, -1):
+                    joint = np.kron(eigenprojector(c, s1), eigenprojector(b, s2))
+                    born = (SINGLET @ joint @ SINGLET).real
+                    assert abs(two_party_prob(label, c, b, s1, s2) - born) < 1e-12
 
 
 REFERENCE_PAIRS = [(0.0, 0.0), (0.3, 1.1), (5.9, 4.2), (0.0, math.pi), (2.0, 2.0 + math.pi / 2)]
@@ -226,7 +249,7 @@ class TestEprTrials:
         rng = substream(79)
         n = 20_000
         signs = np.array(
-            [[o1.sign, o2.sign] for o1, o2 in (epr_trial_model2(rng, a, b) for _ in range(n))]
+            [epr_trial_model2(rng, a, b) for _ in range(n)]
         )
         value = (signs[:, 0] * signs[:, 1]).mean() / 4.0
         est = empirical_expectation(sample_trial_counts(substream(80), a, b, n))
@@ -312,9 +335,9 @@ class TestSingleSphereSequence:
             state = prepare_sphere(rng, Hemisphere(Axis(1.5), 1))
             o1, state = measure_sphere(rng, state, b)
             o2, _ = measure_sphere(rng, state, c)
-            if o1.sign > 0:
+            if o1 > 0:
                 conditioned += 1
-                hits += o2.sign > 0
+                hits += o2 > 0
         expected = measure_prob_single(Hemisphere(b, 1), c)[0]
         se = math.sqrt(expected * (1 - expected) / conditioned)
         assert abs(hits / conditioned - expected) < 5 * se

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bellfoundry.geometry import (
     Axis,
-    MINUS,
-    PLUS,
+    Hemisphere,
     PairCounts,
     V_MAX,
     empirical_expectation,
@@ -21,7 +20,7 @@ from bellfoundry.lhv import (
     wigner_inequality_check,
     wigner_measure,
 )
-from bellfoundry.model2 import TwoPartyField, equivalence_decompose, two_party_prob
+from bellfoundry.model2 import decompose_field, two_party_prob
 from bellfoundry.quantum import (
     singlet_expectation,
     singlet_joint_probability,
@@ -68,8 +67,8 @@ def test_singlet_expectation_within_bounds(t1, t2):
 
 @given(angles, angles, angles)
 def test_singlet_rotationally_invariant(t1, t2, shift):
-    base = singlet_joint_probability(PLUS, Axis(t1), MINUS, Axis(t2))
-    rotated = singlet_joint_probability(PLUS, Axis(t1 + shift), MINUS, Axis(t2 + shift))
+    base = singlet_joint_probability(1, Axis(t1), -1, Axis(t2))
+    rotated = singlet_joint_probability(1, Axis(t1 + shift), -1, Axis(t2 + shift))
     assert abs(base - rotated) < 1e-9
 
 
@@ -119,18 +118,17 @@ def test_wigner_measure_in_unit_interval(t1, t2, s1, s2):
 
 @given(angles, angles)
 def test_equivalence_coefficients_normalized(ta, tu):
-    cp, cm = equivalence_decompose(Axis(ta), Axis(tu))
+    cp, cm = decompose_field(Hemisphere(Axis(ta), 1), Axis(tu))
     assert abs(cp**2 + cm**2 - 1.0) < 1e-12
 
 
 @settings(max_examples=50)
 @given(angles, angles, angles)
 def test_two_party_field_is_singlet(label, tc, tb):
-    f = TwoPartyField(Axis(label))
     total = 0.0
-    for o1 in (PLUS, MINUS):
-        for o2 in (PLUS, MINUS):
-            p = two_party_prob(f, Axis(tc), Axis(tb), o1, o2)
+    for o1 in (1, -1):
+        for o2 in (1, -1):
+            p = two_party_prob(Axis(label), Axis(tc), Axis(tb), o1, o2)
             assert abs(p - singlet_joint_probability(o1, Axis(tc), o2, Axis(tb))) < 1e-9
             total += p
     assert abs(total - 1.0) < 1e-9

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellfoundry import quantum
-from bellfoundry.geometry import Axis, MINUS, PLUS, TSIRELSON_BOUND, V_MAX, wrap_delta
+from bellfoundry.geometry import Axis, TSIRELSON_BOUND, V_MAX, wrap_delta
 from bellfoundry.quantum import (
     HermitianOperator,
     chsh_norm_grid,
@@ -23,17 +23,17 @@ OPTIMAL = [Axis(0.0), Axis(math.pi / 2), Axis(math.pi / 4), Axis(3 * math.pi / 4
 
 class TestSingletLaw:
     def test_equal_axes_anticorrelation(self):
-        assert singlet_joint_probability(PLUS, Axis(0.0), MINUS, Axis(0.0)) == pytest.approx(0.5)
-        assert singlet_joint_probability(PLUS, Axis(0.0), PLUS, Axis(0.0)) == pytest.approx(0.0)
+        assert singlet_joint_probability(1, Axis(0.0), -1, Axis(0.0)) == pytest.approx(0.5)
+        assert singlet_joint_probability(1, Axis(0.0), 1, Axis(0.0)) == pytest.approx(0.0)
 
     def test_right_angle(self):
-        p = singlet_joint_probability(PLUS, Axis(0.0), MINUS, Axis(math.pi / 2))
+        p = singlet_joint_probability(1, Axis(0.0), -1, Axis(math.pi / 2))
         assert p == pytest.approx(0.25)
 
     def test_cells_equal_the_old_closed_form(self):
         def old_cell(a1, a, b2, b):
             half = wrap_delta(a, b) / 2.0
-            if a1.sign != b2.sign:
+            if a1 != b2:
                 return 0.5 * math.cos(half) ** 2
             return 0.5 * math.sin(half) ** 2
 
@@ -44,8 +44,8 @@ class TestSingletLaw:
         for ta in angles:
             for tb in angles:
                 a, b = Axis(ta), Axis(tb)
-                for o1 in (PLUS, MINUS):
-                    for o2 in (PLUS, MINUS):
+                for o1 in (1, -1):
+                    for o2 in (1, -1):
                         p = singlet_joint_probability(o1, a, o2, b)
                         assert type(p) is float and p == old_cell(o1, a, o2, b)
 
@@ -55,8 +55,8 @@ class TestSingletLaw:
             a, b = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
             total = sum(
                 singlet_joint_probability(o1, a, o2, b)
-                for o1 in (PLUS, MINUS)
-                for o2 in (PLUS, MINUS)
+                for o1 in (1, -1)
+                for o2 in (1, -1)
             )
             assert abs(total - 1.0) < 1e-12
 
@@ -64,9 +64,9 @@ class TestSingletLaw:
         rng = substream(22)
         for _ in range(100):
             a, b = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
-            for o1 in (PLUS, MINUS):
+            for o1 in (1, -1):
                 marginal = sum(
-                    singlet_joint_probability(o1, a, o2, b) for o2 in (PLUS, MINUS)
+                    singlet_joint_probability(o1, a, o2, b) for o2 in (1, -1)
                 )
                 assert marginal == pytest.approx(0.5, abs=1e-12)
 
@@ -80,9 +80,9 @@ class TestSingletLaw:
         for _ in range(200):
             a, b = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
             weighted = sum(
-                float(o1.value) * float(o2.value) * singlet_joint_probability(o1, a, o2, b)
-                for o1 in (PLUS, MINUS)
-                for o2 in (PLUS, MINUS)
+                o1 * V_MAX * o2 * V_MAX * singlet_joint_probability(o1, a, o2, b)
+                for o1 in (1, -1)
+                for o2 in (1, -1)
             )
             assert weighted == pytest.approx(singlet_expectation(a, b), abs=1e-12)
 
