@@ -92,7 +92,7 @@ def wrap_delta(a: Axis, b: Axis) -> float:
     return wrap_angle(b.theta - a.theta)
 
 
-def sign_index(sign) -> int:
+def sign_index(sign: int) -> int:
     """Table index of an outcome sign: 0 for +1 (+1/2), 1 for -1 (-1/2)."""
     if sign not in (1, -1):
         raise ValueError(f"outcome sign must be +1 or -1, got {sign!r}")
