@@ -242,6 +242,38 @@ GOLDEN_SINGLE_TRIAL_SHA256 = {
     ),
 }
 
+# A sweep: 12 quadruples of one batch each, so 48 pairs that threads share
+# out among themselves.  Any change to a drawn number or to the report
+# format must update these.
+GOLDEN_SWEEP_CONFIG = {
+    "axes": [[round(0.37 * (4 * i + j) % (2 * math.pi), 6) for j in range(4)] for i in range(12)],
+    "trials": 1000,
+    "seed": 20261019,
+}
+
+GOLDEN_SWEEP_SHA256 = {
+    "quantum": (
+        "948cc2134de317c8a41c4ce2298352b3a7346bbe30352bd98a5f6799685400b2",
+        "90dab49ce6627445110386ea9ce99823a053afac6074338c170750a2e22de963",
+        "24fb91c4155846460e3e4eafcfbd957d799726c0f877e4d6673a19522ed471a6",
+    ),
+    "sign-lhv": (
+        "bcff7bbf24da7d2fde5a48ae5347c53a00ed080378f41986c94dade48b794c79",
+        "db38f001cd0f5fd1c952000d7d76aca5b28e4e2485acb7b51324da2aa662e645",
+        "c0589c4907011429cecd0d59eff02fc6066d01ddafb3784a9a78aad3f3fcdd23",
+    ),
+    "model1": (
+        "68fdf99fac4aff107d786ea42a62e886e114eb0b0f9827cd416b4c09ea39d148",
+        "2ab5129ee1b21973b9f925f800ff64dc7fcf72d2020c78f638f3e9471636bb40",
+        "773b0705b6d9c907fb2db8b30365b811b4355e56e224abaffd51960408adc2ab",
+    ),
+    "model2": (
+        "68fdf99fac4aff107d786ea42a62e886e114eb0b0f9827cd416b4c09ea39d148",
+        "2ab5129ee1b21973b9f925f800ff64dc7fcf72d2020c78f638f3e9471636bb40",
+        "2950967876837c11cf80480f4251c780854501433e9c90b8c852ed7fc2ea4880",
+    ),
+}
+
 REPORT_SUFFIXES = ("_counts.csv", "_summary.csv", "_report.json")
 
 
@@ -603,6 +635,12 @@ class TestGoldenReports:
     def test_report_sha256(self, tmp_path, model, threads):
         digests = _report_digests(tmp_path, {"model": model, **GOLDEN_REPORT_CONFIG}, threads)
         assert digests == GOLDEN_REPORT_SHA256[model]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("model", sorted(GOLDEN_SWEEP_SHA256))
+    def test_sweep_report_sha256(self, tmp_path, model, threads):
+        digests = _report_digests(tmp_path, {"model": model, **GOLDEN_SWEEP_CONFIG}, threads)
+        assert digests == GOLDEN_SWEEP_SHA256[model]
 
     @pytest.mark.parametrize("model", sorted(GOLDEN_SINGLE_TRIAL_SHA256))
     def test_single_trial_report_sha256(self, tmp_path, model):
