@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import oracles
-from .engine import MODELS, chsh_std_error, run_pair_counts
+from .engine import MODELS, chsh_std_error, run_counts
 from .geometry import Axis, BELL_BOUND, TSIRELSON_BOUND, empirical_expectation
 from .lhv import (
     ConstantResponseModel,
@@ -131,7 +131,7 @@ def load_config(args) -> dict:
         try:
             with open(args.config) as fh:
                 from_file = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise UsageError(f"cannot read config: {exc}") from exc
         if not isinstance(from_file, dict):
             raise UsageError("config file must hold a JSON object")
@@ -211,16 +211,19 @@ def run_simulate(config: dict) -> dict:
     sign = config["sign_choice"]
     trials = config["trials"]
     threads = config["threads"]
+    pairs = [
+        (Axis(quad[i]), Axis(quad[j]), run_id * 4 + pair_idx)
+        for run_id, quad in enumerate(config["axes"])
+        for pair_idx, (_, i, j) in enumerate(PAIRS)
+    ]
+    all_counts = iter(run_counts(runner, pairs, trials, config["seed"], threads))
     runs = []
     for run_id, quad in enumerate(config["axes"]):
         estimates = []
         pair_reports = []
-        for pair_idx, (label, i, j) in enumerate(PAIRS):
+        for label, i, j in PAIRS:
             ta, tb = quad[i], quad[j]
-            stream = run_id * 4 + pair_idx
-            counts = run_pair_counts(
-                runner, Axis(ta), Axis(tb), trials, config["seed"], stream, threads
-            )
+            counts = next(all_counts)
             est = empirical_expectation(counts)
             estimates.append(est)
             pair_reports.append(

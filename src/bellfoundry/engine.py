@@ -1,9 +1,10 @@
 """Seeded, thread-count-independent experiment execution.
 
 Trials are split into fixed-size batches; batch k of logical stream s
-draws from the Philox substream keyed by (seed, s, k).  Each worker
-thread runs one contiguous range of batches on a re-keyed generator and
-sums their integer counts; the merge is exact and associative, so the
+draws from the Philox substream keyed by (seed, s, k).  A run of many
+pairs is one flat list of (pair, batch) tasks.  Each worker thread runs
+one contiguous range of that list on its own re-keyed generator and sums
+integer counts per pair; the merge is exact and associative, so the
 final tallies are identical for any number of worker threads.
 """
 
@@ -20,7 +21,7 @@ from . import model1, model2
 from .geometry import Axis, PairCounts
 from .lhv import sample_sign_model_counts, sign_model_expectation_analytic
 from .quantum import sample_singlet_counts, singlet_expectation
-from .rng import BATCH_SIZE, batch_streams
+from .rng import BATCH_SIZE, BatchStream, check_key
 
 CountSampler = Callable[[np.random.Generator, Axis, Axis, int], PairCounts]
 
@@ -42,44 +43,54 @@ MODELS = {
 }
 
 
-def run_pair_counts(
-    runner: ModelRunner,
-    a: Axis,
-    b: Axis,
-    trials: int,
-    seed: int,
-    stream: int,
-    threads: int = 1,
-) -> PairCounts:
-    """Accumulate trials for one axis pair over deterministic batches."""
+def run_counts(
+    runner: ModelRunner, pairs: list[tuple[Axis, Axis, int]], trials: int, seed: int, threads: int = 1
+) -> list[PairCounts]:
+    """Accumulate trials for every (a, b, stream) pair over deterministic batches.
+
+    Task t is batch t % n_batches of pair t // n_batches.  Every pair's key
+    range is checked before any batch is drawn.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
     n_batches = -(-trials // BATCH_SIZE)
-    workers = min(threads, n_batches)
+    for _, _, stream in pairs:
+        check_key(seed, stream, 0, n_batches - 1)
+    n_tasks = n_batches * len(pairs)
+    workers = min(threads, n_tasks)
 
-    def run_range(batches: range) -> PairCounts:
-        n_pp = n_pm = n_mp = n_mm = 0
-        for k, rng in batch_streams(seed, stream, batches):
+    def run_range(lo: int, hi: int) -> dict[int, PairCounts]:
+        keyed = BatchStream(seed)
+        sums = {}
+        for task in range(lo, hi):
+            i, k = divmod(task, n_batches)
+            a, b, stream = pairs[i]
             size = min(BATCH_SIZE, trials - k * BATCH_SIZE)
-            counts = runner.sample_counts(rng, a, b, size)
-            n_pp += counts.n_pp
-            n_pm += counts.n_pm
-            n_mp += counts.n_mp
-            n_mm += counts.n_mm
-        return PairCounts(n_pp, n_pm, n_mp, n_mm)
+            counts = runner.sample_counts(keyed.at(stream, k), a, b, size)
+            sums[i] = sums[i] + counts if i in sums else counts
+        return sums
 
-    if workers == 1:
-        return run_range(range(n_batches))
-    # worker w runs batches [w * n_batches // workers, (w + 1) * n_batches // workers)
-    bounds = [w * n_batches // workers for w in range(workers + 1)]
-    ranges = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    total = PairCounts(0, 0, 0, 0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for counts in pool.map(run_range, ranges):
-            total = total + counts
-    return total
+    if workers <= 1:
+        results = [run_range(0, n_tasks)]
+    else:
+        # worker w runs tasks [w * n_tasks // workers, (w + 1) * n_tasks // workers)
+        bounds = [w * n_tasks // workers for w in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_range, bounds, bounds[1:]))
+    totals = [PairCounts(0, 0, 0, 0)] * len(pairs)
+    for sums in results:
+        for i, counts in sums.items():
+            totals[i] = totals[i] + counts
+    return totals
+
+
+def run_pair_counts(
+    runner: ModelRunner, a: Axis, b: Axis, trials: int, seed: int, stream: int, threads: int = 1
+) -> PairCounts:
+    """Accumulate trials for one axis pair over deterministic batches."""
+    return run_counts(runner, [(a, b, stream)], trials, seed, threads)[0]
 
 
 def chsh_std_error(std_errors) -> float:

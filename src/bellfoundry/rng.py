@@ -17,46 +17,41 @@ import numpy as np
 BATCH_SIZE = 1 << 16
 
 
-def _check_key(seed: int, stream: int, *batches: int) -> None:
+def check_key(seed: int, stream: int, *batches: int) -> None:
+    """Raise ValueError unless seed fits in 64 bits and stream and every batch in 32."""
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed must fit in 64 bits")
     if not 0 <= stream < 1 << 32 or not all(0 <= k < 1 << 32 for k in batches):
         raise ValueError("stream and batch must fit in 32 bits")
 
 
-def _key(seed: int, stream: int, batch: int) -> np.ndarray:
-    return np.array([seed, (stream << 32) | batch], dtype=np.uint64)
-
-
 def substream(seed: int, stream: int = 0, batch: int = 0) -> np.random.Generator:
     """Independent Philox stream for (seed, stream, batch)."""
-    _check_key(seed, stream, batch)
-    return np.random.Generator(np.random.Philox(key=_key(seed, stream, batch)))
+    check_key(seed, stream, batch)
+    key = np.array([seed, (stream << 32) | batch], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def batch_streams(seed: int, stream: int, batches: range):
-    """Yield (k, generator) for each batch k, drawing exactly as substream(seed, stream, k).
+class BatchStream:
+    """One Philox under one seed, re-keyed in place to draw as ``substream(seed, stream, k)``.
 
-    One Philox is built up front and re-keyed in place for each batch
-    (key, counter 0, empty buffer), which skips the per-generator set-up
-    cost of ``substream``.  The generator is reused: finish drawing from
-    it before advancing the iterator.
+    ``at`` resets the key, the counter and the buffer, which skips the
+    per-generator set-up cost of ``substream``.  The generator is reused:
+    finish drawing from one ``at`` before the next.  Not for sharing
+    between threads: each worker owns one.
     """
-    _check_key(seed, stream, *batches[:1], *batches[-1:])  # a range's extremes
-    bit_generator = np.random.Philox(key=_key(seed, stream, 0))
-    generator = np.random.Generator(bit_generator)
-    zeros = np.zeros(4, dtype=np.uint64)  # the setter copies, so one array serves
 
-    def streams():
-        for k in batches:
-            bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": zeros, "key": _key(seed, stream, k)},
-                "buffer": zeros,
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield k, generator
+    def __init__(self, seed: int):
+        check_key(seed, 0)
+        self._seed = seed
+        self._bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        self._generator = np.random.Generator(self._bit_generator)
+        # a fresh generator's state (counter 0, empty buffer), read out as new arrays
+        self._state = self._bit_generator.state
+        self._key = self._state["state"]["key"]
 
-    return streams()
+    def at(self, stream: int, k: int) -> np.random.Generator:
+        check_key(self._seed, stream, k)
+        self._key[1] = (stream << 32) | k
+        self._bit_generator.state = self._state
+        return self._generator

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -27,9 +28,9 @@ from bellfoundry.cli import (
     run_simulate,
     run_verify,
 )
-from bellfoundry.engine import MODELS, run_pair_counts
+from bellfoundry.engine import MODELS, run_counts, run_pair_counts
 from bellfoundry.geometry import Axis, empirical_expectation
-from bellfoundry.rng import BATCH_SIZE, batch_streams
+from bellfoundry.rng import BATCH_SIZE, check_key
 
 
 # Exact stdout by seed; any change to a printed value must update these.
@@ -423,9 +424,20 @@ class TestConfigSchema:
 
     def test_trials_cap_is_the_last_batch_index_rng_keys(self):
         assert MAX_TRIALS == BATCH_SIZE << 32
-        batch_streams(0, 0, range(-(-MAX_TRIALS // BATCH_SIZE)))
+        check_key(0, 0, -(-MAX_TRIALS // BATCH_SIZE) - 1)
         with pytest.raises(ValueError, match="32 bits"):
-            batch_streams(0, 0, range(-(-(MAX_TRIALS + 1) // BATCH_SIZE)))
+            check_key(0, 0, -(-(MAX_TRIALS + 1) // BATCH_SIZE) - 1)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, '{"axes": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+        ids=["bare", "axes"],
+    )
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys, text):
+        rc, err = _run_with_config(tmp_path, capsys, text)
+        assert rc == 2
+        assert err.startswith("error: cannot read config") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_caps_themselves_are_accepted(self):
         args = build_parser().parse_args(["simulate", "--threads", str(MAX_THREADS)])
@@ -671,6 +683,26 @@ class TestEngine:
             counts = {t: run_pair_counts(MODELS[name], a, b, trials, 8, 1, t) for t in (1, 2, 3, 5)}
             assert len(set(counts.values())) == 1, name
             assert counts[1].total == trials
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("trials", [1, BATCH_SIZE + 1, 3 * BATCH_SIZE])
+    def test_many_pairs_equal_each_pair_alone(self, trials, threads):
+        # 5 pairs of 1, 2 or 3 batches: some worker ranges start or end mid-pair
+        angles = [(0.4, 2.2), (1.0, 1.0), (5.9, 0.3), (3.1, 4.7), (2.0, 0.1)]
+        pairs = [(Axis(ta), Axis(tb), 4 * n + 1) for n, (ta, tb) in enumerate(angles)]
+        for name, runner in MODELS.items():
+            alone = [run_pair_counts(runner, a, b, trials, 9, s, 1) for a, b, s in pairs]
+            assert run_counts(runner, pairs, trials, 9, threads) == alone, name
+
+    def test_no_pairs_draw_nothing(self):
+        assert run_counts(MODELS["quantum"], [], 10, 1, 3) == []
+
+    def test_bad_last_key_raises_before_any_batch(self):
+        never = lambda *args: pytest.fail("a batch was drawn")  # noqa: E731
+        runner = dataclasses.replace(MODELS["quantum"], sample_counts=never)
+        pairs = [(Axis(0.0), Axis(1.0), s) for s in (0, 1, 1 << 32)]
+        with pytest.raises(ValueError, match="32 bits"):
+            run_counts(runner, pairs, 10, 1, 2)
 
     def test_rejects_nonpositive_threads(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellfoundry.rng import batch_streams, substream
+from bellfoundry.rng import BatchStream, check_key, substream
 
 LAST_BATCH = (1 << 32) - 1
 
@@ -18,24 +18,23 @@ def _draws(rng):
 class TestBatchStreams:
     @pytest.mark.parametrize("batch", [0, 1, LAST_BATCH])
     def test_draws_equal_substream(self, batch):
-        [(k, rng)] = list(batch_streams(7, 3, range(batch, batch + 1)))
-        assert k == batch
+        rng = BatchStream(7).at(3, batch)
         for ours, theirs in zip(_draws(rng), _draws(substream(7, 3, batch))):
             assert np.array_equal(ours, theirs)
 
     def test_rekeying_discards_buffered_state(self):
-        # 32-bit draws leave half a word buffered; the next batch must not see it
-        seen = []
-        for k, rng in batch_streams(11, 2, range(4)):
-            seen.append(k)
-            for ours, theirs in zip(_draws(rng), _draws(substream(11, 2, k))):
+        # 32-bit draws leave half a word buffered; the next key must not see it
+        keyed = BatchStream(11)
+        for stream, k in [(2, 0), (2, 1), (5, 1), (2, 0)]:
+            rng = keyed.at(stream, k)
+            for ours, theirs in zip(_draws(rng), _draws(substream(11, stream, k))):
                 assert np.array_equal(ours, theirs)
             rng.integers(0, 1 << 20, size=3, dtype=np.int32)
-        assert seen == [0, 1, 2, 3]
 
     def test_largest_seed_and_stream(self):
         seed, stream = (1 << 64) - 1, (1 << 32) - 1
-        [(_, rng)] = list(batch_streams(seed, stream, range(5, 6)))
+        check_key(seed, stream, 0, LAST_BATCH)
+        rng = BatchStream(seed).at(stream, 5)
         assert np.array_equal(rng.random(9), substream(seed, stream, 5).random(9))
 
     @pytest.mark.parametrize(
@@ -50,12 +49,15 @@ class TestBatchStreams:
         ],
     )
     def test_rejects_out_of_range_key(self, seed, stream, batches):
-        # rejected at the call, before any batch is drawn
+        # check_key rejects a range by its extremes, before any batch is drawn;
+        # the stream itself rejects a bad seed, and any key past 32 bits that
+        # would otherwise alias the next stream's
         with pytest.raises(ValueError):
-            batch_streams(seed, stream, batches)
-
-    def test_empty_range_yields_nothing(self):
-        assert list(batch_streams(1, 0, range(0))) == []
+            check_key(seed, stream, batches[0], batches[-1])
+        with pytest.raises(ValueError):
+            keyed = BatchStream(seed)
+            for k in batches:
+                keyed.at(stream, k)
 
 
 class TestSubstream:
