@@ -68,9 +68,10 @@ def run_counts(
             i, k = divmod(task, n_batches)
             a, b, stream = pairs[i]
             size = min(BATCH_SIZE, trials - k * BATCH_SIZE)
-            counts = runner.sample_counts(keyed.at(stream, k), a, b, size)
-            sums[i] = sums[i] + counts if i in sums else counts
-        return sums
+            c = runner.sample_counts(keyed.at(stream, k), a, b, size)
+            s = sums.get(i, (0, 0, 0, 0))
+            sums[i] = (s[0] + c.n_pp, s[1] + c.n_pm, s[2] + c.n_mp, s[3] + c.n_mm)
+        return {i: PairCounts(*s) for i, s in sums.items()}
 
     if workers <= 1:
         results = [run_range(0, n_tasks)]
@@ -79,11 +80,11 @@ def run_counts(
         bounds = [w * n_tasks // workers for w in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_range, bounds, bounds[1:]))
-    totals = [PairCounts(0, 0, 0, 0)] * len(pairs)
+    totals = {}
     for sums in results:
         for i, counts in sums.items():
-            totals[i] = totals[i] + counts
-    return totals
+            totals[i] = totals[i] + counts if i in totals else counts
+    return [totals[i] for i in range(len(pairs))]
 
 
 def run_pair_counts(
