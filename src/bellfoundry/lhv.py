@@ -11,7 +11,6 @@ is P(+1/2 | lam) as 0 or 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -31,6 +30,7 @@ from .geometry import (
     wrap_angle,
     wrap_delta,
 )
+from .rng import skip
 
 # cos changes sign between each of these doubles and the next one up:
 # cos(fl(pi/2)) = +6.1e-17 and cos(fl(3pi/2)) = -1.8e-16.
@@ -38,14 +38,16 @@ _COS_ZERO_1 = math.pi / 2.0
 _COS_ZERO_2 = 3.0 * math.pi / 2.0
 
 
-def _cos_nonneg(d: np.ndarray) -> np.ndarray:
-    """``np.cos(d) >= 0.0`` as a boolean mask, by exact thresholds when every |d| < 2*pi.
+def _cos_nonneg(lam: np.ndarray, theta: float = 0.0) -> np.ndarray:
+    """``np.cos(lam - theta) >= 0.0`` as a boolean mask, by exact thresholds when every |lam - theta| < 2*pi.
 
-    Any other input, NaN included, falls back to ``np.cos``.
+    Builds one float temporary, ``lam - theta``, and takes its magnitude in
+    place.  Any other input, NaN included, falls back to ``np.cos``.
     """
-    mag = np.abs(d)
+    mag = lam - theta
+    np.abs(mag, out=mag)
     if not mag.max(initial=0.0) < TAU:
-        return np.cos(d) >= 0.0
+        return np.cos(lam - theta) >= 0.0
     nonneg = mag <= _COS_ZERO_1
     nonneg |= mag > _COS_ZERO_2  # in place: one n-byte temporary fewer at the peak
     return nonneg
@@ -77,10 +79,10 @@ class DeterministicSignModel:
         return rng.uniform(0.0, TAU, size=n)
 
     def plus1(self, a: Axis, lam: np.ndarray) -> np.ndarray:
-        return _cos_nonneg(lam - a.theta)
+        return _cos_nonneg(lam, a.theta)
 
     def plus2(self, b: Axis, lam: np.ndarray) -> np.ndarray:
-        return ~_cos_nonneg(lam - b.theta)
+        return ~_cos_nonneg(lam, b.theta)
 
 
 class ConstantResponseModel:
@@ -100,14 +102,32 @@ class ConstantResponseModel:
     plus2 = plus1
 
 
+def _outcomes(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Boolean "+" outcomes of n trials with P(+1/2) = p, drawn with n uniforms.
+
+    A boolean p is its own outcome, since ``rng.random(n) < p`` equals p;
+    its n uniforms are skipped rather than drawn, and the stream ends where
+    drawing them would have left it.
+    """
+    if p.dtype == bool:
+        skip(rng, n)
+        return p
+    return rng.random(n) < p
+
+
 def sample_model_counts(
     model: HVModel, a: Axis, b: Axis, n: int, rng: np.random.Generator
 ) -> PairCounts:
-    """Draw n trials: sample lam, then outcomes from the factorized responses."""
+    """Draw n trials: sample lam, then outcomes from the factorized responses.
+
+    Each particle's outcomes take n uniforms of the stream, particle 1's
+    first.  A boolean response skips its uniforms instead of drawing them,
+    which keeps both the outcomes and the stream position of drawing them.
+    """
     lam = model.sample(rng, n)
     p1 = model.plus1(a, lam)
     p2 = model.plus2(b, lam)
-    return counts_from_signs(rng.random(n) < p1, rng.random(n) < p2)
+    return counts_from_signs(_outcomes(p1, n, rng), _outcomes(p2, n, rng))
 
 
 def sample_sign_model_counts(
@@ -116,13 +136,13 @@ def sample_sign_model_counts(
     """Batch kernel for DeterministicSignModel: n trials from one draw of lam.
 
     Equal in outcomes to ``sample_model_counts(DeterministicSignModel(), ...)``
-    on the same stream, but it skips that path's two per-trial uniforms:
-    they are compared with 0/1 responses and can never change an outcome.
-    It therefore consumes less of the stream, so use it only where each
+    on the same stream.  That path skips the two per-trial uniforms of its
+    boolean responses but keeps the stream position, 2n doubles past lam;
+    this kernel leaves the stream just after lam, so use it only where each
     call has a stream of its own, as engine batches do.
     """
     lam = rng.uniform(0.0, TAU, size=n)
-    return counts_from_signs(_cos_nonneg(lam - a.theta), ~_cos_nonneg(lam - b.theta))
+    return counts_from_signs(_cos_nonneg(lam, a.theta), ~_cos_nonneg(lam, b.theta))
 
 
 def model_expectation(
@@ -166,6 +186,28 @@ class BellCheckReport:
         return self.worst_value <= BELL_BOUND + self.tolerance
 
 
+def _worst_chsh(values: np.ndarray, sq_errors: np.ndarray) -> tuple:
+    """(value, tolerance) of the grid's CHSH term with the largest value - tolerance.
+
+    ``values[i, j]`` and ``sq_errors[i, j]`` are E and its squared standard
+    error at grid axes i and j.  Every quadruple (a, a', b, b'), in
+    ``itertools.product`` order, is scored at sign +1 and then -1 as
+    ``chsh_value`` would, with tolerance five combined standard errors; a
+    tie goes to the first term.
+    """
+    if (np.abs(values) > V_MAX**2 + 1e-12).any():
+        raise ValueError("expectation magnitude exceeds V_MAX**2")
+    # axes (a, a', b, b'): E(a, b), E(a, b'), E(a', b), E(a', b')
+    e0, e1 = values[:, None, :, None], values[:, None, None, :]
+    e2, e3 = values[None, :, :, None], values[None, :, None, :]
+    s0, s1 = sq_errors[:, None, :, None], sq_errors[:, None, None, :]
+    s2, s3 = sq_errors[None, :, :, None], sq_errors[None, :, None, :]
+    tol = 5.0 * np.sqrt(((s0 + s1) + s2) + s3)
+    value = np.stack([abs(e0 - e1) + abs(e2 + e3), abs(e0 + e1) + abs(e2 - e3)], axis=-1)
+    worst = np.unravel_index(np.argmax(value - tol[..., None]), value.shape)
+    return float(value[worst]), float(tol[worst[:-1]])
+
+
 def check_bell_theorem(
     model: HVModel,
     axis_grid: Sequence[Axis],
@@ -175,26 +217,24 @@ def check_bell_theorem(
     """CHSH over every grid quadruple and both sign choices stays bounded.
 
     Expectations are estimated once per grid pair and reused across
-    quadruples; the statistical tolerance is five combined standard errors.
+    quadruples (a repeated axis reads the last estimate of its angle pair);
+    the statistical tolerance is five combined standard errors.
     """
     grid = list(axis_grid)
+    if not grid:
+        raise ValueError("the axis grid is empty: there is no quadruple to check")
+    if n < 2:
+        raise ValueError("the tolerance needs at least 2 trials per pair")
     estimates = {}
     for a in grid:
         for b in grid:
             estimates[(a.theta, b.theta)] = model_expectation(model, a, b, n, rng)
-    worst_value, worst_tol = -math.inf, 0.0
-    for a, ap, b, bp in itertools.product(grid, repeat=4):
-        es = [
-            estimates[(a.theta, b.theta)],
-            estimates[(a.theta, bp.theta)],
-            estimates[(ap.theta, b.theta)],
-            estimates[(ap.theta, bp.theta)],
-        ]
-        tol = 5.0 * math.sqrt(sum(e.std_error**2 for e in es))
-        for sign in (1, -1):
-            value = chsh_value(*(e.value for e in es), sign_choice=sign)
-            if value - tol > worst_value - worst_tol:
-                worst_value, worst_tol = value, tol
+    table = [[estimates[(a.theta, b.theta)] for b in grid] for a in grid]
+    worst_value, worst_tol = _worst_chsh(
+        np.array([[e.value for e in row] for row in table]),
+        # each squared by Python's **, which need not round as np.square does
+        np.array([[e.std_error**2 for e in row] for row in table]),
+    )
     return BellCheckReport(worst_value=worst_value, tolerance=worst_tol)
 
 
@@ -301,10 +341,14 @@ def _mc_measures(model: HVModel, specs, n: int, rng: np.random.Generator | None)
     plus = {axis: _plus_mask(model, axis, lam) for axis in axes}
     measures = []
     for spec in specs:
-        member = np.ones(n, dtype=bool)
-        for clause in spec.clauses:
-            member &= plus[clause.axis] if clause.sign > 0 else ~plus[clause.axis]
-        measures.append(float(member.mean()))
+        first, *rest = spec.clauses
+        member = plus[first.axis] if first.sign > 0 else ~plus[first.axis]
+        for clause in rest:
+            mask = plus[clause.axis]
+            # for booleans, member > mask is member & ~mask in one pass
+            member = member & mask if clause.sign > 0 else member > mask
+        # the exact count over n: the same double as member.mean()
+        measures.append(np.count_nonzero(member) / n)
     return measures
 
 

@@ -8,6 +8,7 @@ import pytest
 from bellfoundry.geometry import (
     Axis,
     BELL_BOUND,
+    ExpectationEstimate,
     TAU,
     V_MAX,
     counts_from_signs,
@@ -17,6 +18,7 @@ from bellfoundry.lhv import (
     _COS_ZERO_1,
     _COS_ZERO_2,
     _cos_nonneg,
+    _worst_chsh,
     ConstantResponseModel,
     DeterministicSignModel,
     SubsetSpec,
@@ -160,6 +162,100 @@ class TestBellTheorem:
             ConstantResponseModel(0.5), [Axis(0.0), Axis(1.0)], 50_000, substream(36)
         )
         assert report.worst_value < 10 * report.tolerance
+
+    def test_empty_grid_raises(self):
+        with pytest.raises(ValueError, match="grid is empty"):
+            check_bell_theorem(DeterministicSignModel(), [], 1000, substream(36))
+
+    def test_single_trial_raises(self):
+        # one trial has no standard error, so no tolerance to check against
+        with pytest.raises(ValueError, match="at least 2 trials"):
+            check_bell_theorem(DeterministicSignModel(), [Axis(0.0)], 1, substream(36))
+
+
+def _loop_worst_chsh(keys, estimates):
+    """Reference: the per-quadruple chsh_value loop that _worst_chsh replaced."""
+    worst_value, worst_tol = -math.inf, 0.0
+    for a, ap, b, bp in itertools.product(keys, repeat=4):
+        es = [estimates[(a, b)], estimates[(a, bp)], estimates[(ap, b)], estimates[(ap, bp)]]
+        tol = 5.0 * math.sqrt(sum(e.std_error**2 for e in es))
+        for sign in (1, -1):
+            value = chsh_value(*(e.value for e in es), sign_choice=sign)
+            if value - tol > worst_value - worst_tol:
+                worst_value, worst_tol = value, tol
+    return worst_value, worst_tol
+
+
+def _loop_bell_check(model, grid, n, rng):
+    """Reference: check_bell_theorem's estimates scored by the loop."""
+    estimates = {}
+    for a in grid:
+        for b in grid:
+            estimates[(a.theta, b.theta)] = model_expectation(model, a, b, n, rng)
+    return _loop_worst_chsh([a.theta for a in grid], estimates)
+
+
+class TestWorstChshEqualsLoop:
+    """The one-pass scorer against the loop, compared with exact ==."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 90210])
+    def test_eight_axis_grid(self, seed):
+        model = DeterministicSignModel()
+        grid = [Axis(k * math.pi / 4.0) for k in range(8)]
+        report = check_bell_theorem(model, grid, 20_000, substream(seed, 101))
+        expected = _loop_bell_check(model, grid, 20_000, substream(seed, 101))
+        assert (report.worst_value, report.tolerance) == expected
+
+    def test_repeated_axes_read_the_last_estimate(self):
+        model = DeterministicSignModel()
+        grid = [Axis(0.0), Axis(1.0), Axis(0.0), Axis(2.5), Axis(1.0)]
+        report = check_bell_theorem(model, grid, 2_000, substream(50))
+        expected = _loop_bell_check(model, grid, 2_000, substream(50))
+        assert (report.worst_value, report.tolerance) == expected
+
+    def test_stochastic_model(self):
+        model = ConstantResponseModel(0.3)
+        grid = [Axis(0.0), Axis(1.0), Axis(2.0)]
+        report = check_bell_theorem(model, grid, 5_000, substream(51))
+        expected = _loop_bell_check(model, grid, 5_000, substream(51))
+        assert (report.worst_value, report.tolerance) == expected
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 5])
+    def test_tied_scores_go_to_the_first_term(self, g):
+        # values on a 1/64 lattice and errors of 0 or 1/64: many terms tie in
+        # value - tolerance with different values and tolerances
+        rng = substream(52, g)
+        for _ in range(20):
+            values = rng.integers(-16, 17, size=(g, g)) / 64.0
+            errors = rng.integers(0, 2, size=(g, g)) / 64.0
+            estimates = {
+                (i, j): ExpectationEstimate(float(values[i, j]), float(errors[i, j]), 100)
+                for i in range(g)
+                for j in range(g)
+            }
+            sq_errors = np.array([[estimates[(i, j)].std_error**2 for j in range(g)] for i in range(g)])
+            assert _worst_chsh(values, sq_errors) == _loop_worst_chsh(range(g), estimates)
+
+    def test_random_tables(self):
+        # a winner's tolerance is compared bit for bit, so 30 tables also pin
+        # the order of the four-term sum
+        rng = substream(53)
+        for g in (2, 4, 6) * 10:
+            values = rng.uniform(-0.25, 0.25, size=(g, g))
+            errors = rng.uniform(0.0, 0.01, size=(g, g))
+            estimates = {
+                (i, j): ExpectationEstimate(float(values[i, j]), float(errors[i, j]), 100)
+                for i in range(g)
+                for j in range(g)
+            }
+            sq_errors = np.array([[estimates[(i, j)].std_error**2 for j in range(g)] for i in range(g)])
+            assert _worst_chsh(values, sq_errors) == _loop_worst_chsh(range(g), estimates)
+
+    def test_rejects_out_of_range(self):
+        values = np.full((2, 2), -0.25)
+        values[1, 0] = 0.3
+        with pytest.raises(ValueError, match="exceeds"):
+            _worst_chsh(values, np.zeros((2, 2)))
 
 
 class TestMonteCarloStreamPin:
@@ -433,6 +529,50 @@ class TestWignerInequality:
                 model, a, ap, b, mode="mc", n=64, rng=substream(6, 0, k)
             )
             assert holds, (k, lhs, rhs)
+
+
+def _ones_mean_wigner_mc(a, ap, b, n, rng):
+    """Reference: the MC Wigner check as np.ones masks ANDed in place and averaged.
+
+    Membership is the literal rule np.cos(lam - theta) >= 0.0.
+    """
+    lam = DeterministicSignModel().sample(rng, n)
+    plus = {axis: np.cos(lam - axis.theta) >= 0.0 for axis in (a, ap, b)}
+    measures = []
+    for clauses in ([(ap, 1), (b, 1)], [(a, 1), (b, 1)], [(a, 1), (ap, -1)]):
+        member = np.ones(n, dtype=bool)
+        for axis, sign in clauses:
+            member &= plus[axis] if sign > 0 else ~plus[axis]
+        measures.append(float(member.mean()))
+    lhs, m_ab, m_aap = measures
+    return lhs, m_ab - m_aap, lhs >= (m_ab - m_aap) - 1e-12
+
+
+class TestWignerMcEqualsOnesMean:
+    def test_random_triples(self):
+        model = DeterministicSignModel()
+        rng = substream(54)
+        for k in range(50):
+            a, ap, b = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=3))
+            n = 100_000 if k % 2 else 1_000 + k
+            result = wigner_inequality_check(
+                model, a, ap, b, mode="mc", n=n, rng=substream(55, 0, k), tolerance=1e-12
+            )
+            assert result == _ones_mean_wigner_mc(a, ap, b, n, substream(55, 0, k)), k
+
+    def test_one_and_three_clause_specs(self):
+        model = DeterministicSignModel()
+        rng = substream(56)
+        for k in range(20):
+            a, b, c = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=3))
+            lam = substream(57, 0, k).uniform(0.0, TAU, size=5_000)
+            plus = {axis: np.cos(lam - axis.theta) >= 0.0 for axis in (a, b, c)}
+            for clauses in ([(a, -1)], [(a, 1)], [(a, -1), (b, -1), (c, 1)], [(a, 1), (b, -1), (c, -1)]):
+                member = np.ones(lam.size, dtype=bool)
+                for axis, sign in clauses:
+                    member &= plus[axis] if sign > 0 else ~plus[axis]
+                mc = wigner_measure(model, SubsetSpec(clauses), "mc", 5_000, substream(57, 0, k))
+                assert mc == float(member.mean()), (k, clauses)
 
 
 class TestQuantumWignerViolation:
