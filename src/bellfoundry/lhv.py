@@ -39,10 +39,11 @@ _COS_ZERO_2 = 3.0 * math.pi / 2.0
 
 
 def _cos_nonneg(lam: np.ndarray, theta: float = 0.0) -> np.ndarray:
-    """``np.cos(lam - theta) >= 0.0`` as a boolean mask, by exact thresholds when every |lam - theta| < 2*pi.
+    """``np.cos(lam - theta) >= 0.0`` as a boolean mask.
 
-    Builds one float temporary, ``lam - theta``, and takes its magnitude in
-    place.  Any other input, NaN included, falls back to ``np.cos``.
+    Decided by exact thresholds when every |lam - theta| < 2*pi, from one
+    float temporary, ``lam - theta``, whose magnitude is taken in place.
+    Any other input, NaN included, falls back to ``np.cos``.
     """
     mag = lam - theta
     np.abs(mag, out=mag)

@@ -195,6 +195,18 @@ def _loop_bell_check(model, grid, n, rng):
     return _loop_worst_chsh([a.theta for a in grid], estimates)
 
 
+def _assert_table_scores_equal(values, errors):
+    """_worst_chsh and the loop agree exactly on one table of estimates."""
+    g = len(values)
+    estimates = {
+        (i, j): ExpectationEstimate(float(values[i, j]), float(errors[i, j]), 100)
+        for i in range(g)
+        for j in range(g)
+    }
+    sq_errors = np.array([[estimates[(i, j)].std_error**2 for j in range(g)] for i in range(g)])
+    assert _worst_chsh(values, sq_errors) == _loop_worst_chsh(range(g), estimates)
+
+
 class TestWorstChshEqualsLoop:
     """The one-pass scorer against the loop, compared with exact ==."""
 
@@ -228,13 +240,7 @@ class TestWorstChshEqualsLoop:
         for _ in range(20):
             values = rng.integers(-16, 17, size=(g, g)) / 64.0
             errors = rng.integers(0, 2, size=(g, g)) / 64.0
-            estimates = {
-                (i, j): ExpectationEstimate(float(values[i, j]), float(errors[i, j]), 100)
-                for i in range(g)
-                for j in range(g)
-            }
-            sq_errors = np.array([[estimates[(i, j)].std_error**2 for j in range(g)] for i in range(g)])
-            assert _worst_chsh(values, sq_errors) == _loop_worst_chsh(range(g), estimates)
+            _assert_table_scores_equal(values, errors)
 
     def test_random_tables(self):
         # a winner's tolerance is compared bit for bit, so 30 tables also pin
@@ -243,13 +249,7 @@ class TestWorstChshEqualsLoop:
         for g in (2, 4, 6) * 10:
             values = rng.uniform(-0.25, 0.25, size=(g, g))
             errors = rng.uniform(0.0, 0.01, size=(g, g))
-            estimates = {
-                (i, j): ExpectationEstimate(float(values[i, j]), float(errors[i, j]), 100)
-                for i in range(g)
-                for j in range(g)
-            }
-            sq_errors = np.array([[estimates[(i, j)].std_error**2 for j in range(g)] for i in range(g)])
-            assert _worst_chsh(values, sq_errors) == _loop_worst_chsh(range(g), estimates)
+            _assert_table_scores_equal(values, errors)
 
     def test_rejects_out_of_range(self):
         values = np.full((2, 2), -0.25)
@@ -567,7 +567,8 @@ class TestWignerMcEqualsOnesMean:
             a, b, c = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=3))
             lam = substream(57, 0, k).uniform(0.0, TAU, size=5_000)
             plus = {axis: np.cos(lam - axis.theta) >= 0.0 for axis in (a, b, c)}
-            for clauses in ([(a, -1)], [(a, 1)], [(a, -1), (b, -1), (c, 1)], [(a, 1), (b, -1), (c, -1)]):
+            specs = ([(a, -1)], [(a, 1)], [(a, -1), (b, -1), (c, 1)], [(a, 1), (b, -1), (c, -1)])
+            for clauses in specs:
                 member = np.ones(lam.size, dtype=bool)
                 for axis, sign in clauses:
                     member &= plus[axis] if sign > 0 else ~plus[axis]
