@@ -23,7 +23,7 @@ import numpy as np
 
 from . import oracles
 from .engine import MODELS, chsh_std_error, run_counts
-from .geometry import Axis, BELL_BOUND, TSIRELSON_BOUND, empirical_expectation
+from .geometry import Axis, BELL_BOUND, TSIRELSON_BOUND, V_MAX, empirical_expectation
 from .lhv import (
     ConstantResponseModel,
     DeterministicSignModel,
@@ -36,6 +36,7 @@ from .lhv import (
     wigner_inequality_check,
 )
 from .quantum import chsh_norm_grid, chsh_operator, identity_residual_scan, singlet_expectation
+from .quantum import singlet_joint_table
 from .rng import BATCH_SIZE, substream
 
 #: The four CHSH pairs as (label, first axis, second axis), indexing a quadruple (a, a', b, b').
@@ -325,6 +326,12 @@ def _vertex_chsh_max() -> float:
     return float(joint_distribution_chsh(vertex_distributions()).max())
 
 
+def _singlet_cell_sum(a: Axis, b: Axis) -> float:
+    """E(a, b) from singlet_joint_table: each cell times its outcome product, summed row by row."""
+    products = np.outer([V_MAX, -V_MAX], [V_MAX, -V_MAX])
+    return sum((products * singlet_joint_table(a, b)).ravel().tolist())
+
+
 def verify_chsh(seed: int) -> list[Check]:
     model = DeterministicSignModel()
     grid = [Axis(k * math.pi / 4.0) for k in range(8)]
@@ -415,9 +422,9 @@ def run_oracle(seed: int) -> list[tuple[str, float]]:
     """Brute-force oracles behind the derived expected values, as (name, value) pairs."""
     op = chsh_operator(*(Axis(t) for t in OPTIMAL_AXES), 1)
     values = [
-        ("singlet_expectation_pi_over_4", oracles.singlet_expectation_from_cells(math.pi / 4.0)),
-        # spectral norm of the optimal CHSH operator via numpy, straight from its entries
-        ("chsh_operator_norm_numpy", float(np.abs(np.linalg.eigvalsh(op.entries)).max())),
+        ("singlet_expectation_pi_over_4", _singlet_cell_sum(Axis(0.0), Axis(math.pi / 4.0))),
+        # spectral norm of the optimal CHSH operator via numpy, straight from the array
+        ("chsh_operator_norm_numpy", float(np.abs(np.linalg.eigvalsh(op)).max())),
         (
             "wigner_overlap_quadrature_pi_over_2",
             oracles.half_circle_overlap_quadrature(0.0, math.pi / 2.0),

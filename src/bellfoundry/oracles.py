@@ -1,9 +1,9 @@
 """Brute-force oracles: quadrature and enumeration double-checks.
 
-Everything here is deliberately independent of the closed forms it
-validates -- plain grids and Gauss-Legendre quadrature, no shared helper
-math -- so tests can compare the two routes.  Their sign decisions use ``np.cos``
-on purpose: they are the independent route for ``lhv``'s threshold rule.
+Everything here is deliberately independent of the closed forms it validates:
+plain grids, Gauss-Legendre quadrature and sampling, sharing no helper math with
+them, so tests can compare the two routes.  Their sign decisions use ``np.cos`` on
+purpose: they are the independent route for ``lhv``'s threshold rule.
 """
 
 from __future__ import annotations
@@ -69,18 +69,6 @@ def sign_model_expectation_quadrature(delta: float, n: int = 2_000_000) -> float
         same = (np.cos(lam) >= 0.0) == (np.cos(lam - delta) >= 0.0)
         agree += int(np.count_nonzero(same))
     return 0.25 * (n - 2 * agree) / n
-
-
-def singlet_expectation_from_cells(delta: float) -> float:
-    """The four singlet joint-probability cells weighted by their outcome products, summed."""
-    same = 0.5 * math.sin(delta / 2.0) ** 2
-    opposite = 0.5 * math.cos(delta / 2.0) ** 2
-    total = 0.0
-    for a1 in (0.5, -0.5):
-        for b2 in (0.5, -0.5):
-            p = opposite if a1 * b2 < 0 else same
-            total += a1 * b2 * p
-    return total
 
 
 def hemisphere_conditional_fraction(n: int, rng) -> float:

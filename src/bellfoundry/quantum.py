@@ -10,12 +10,11 @@ depends only on angle differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Axis, PairCounts, V_MAX, sign_index, wrap_delta
-from .linalg import HERMITICITY_TOL, spectral_norm
+from .linalg import spectral_norm
 from .rng import substream
 
 #: Grid points cross-checked by ``eigvalsh`` in chsh_norm_grid, drawn from
@@ -23,25 +22,6 @@ from .rng import substream
 NORM_CHECK_POINTS = 4096
 NORM_CHECK_STREAM = 10
 NORM_CHECK_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """A 2x2 or 4x4 Hermitian matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if entries.shape[0] not in (2, 4):
-            raise ValueError("dimension must be 2 or 4")
-        residual = np.abs(entries - entries.conj().T).max()
-        if residual > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (residual {residual:.3e})")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
 
 
 def singlet_joint_probability(a1: int, a: Axis, b2: int, b: Axis) -> float:
@@ -73,13 +53,13 @@ def sample_singlet_counts(rng: np.random.Generator, a: Axis, b: Axis, n: int) ->
     return PairCounts(int(n_pp), int(n_pm), int(n_mp), int(n_mm))
 
 
-def spin_operator(a: Axis) -> HermitianOperator:
-    """Spin projection operator along a coplanar axis; eigenvalues +-1/2."""
-    return HermitianOperator(_spin_batch(np.float64(a.theta)))
+def spin_operator(a: Axis) -> np.ndarray:
+    """Real symmetric 2x2 spin projection operator along a coplanar axis; eigenvalues +-1/2."""
+    return _spin_batch(np.float64(a.theta))
 
 
-def chsh_operator(a: Axis, ap: Axis, b: Axis, bp: Axis, sign_choice: int = 1) -> HermitianOperator:
-    """The 4x4 CHSH combination of tensor-product spin operators.
+def chsh_operator(a: Axis, ap: Axis, b: Axis, bp: Axis, sign_choice: int = 1) -> np.ndarray:
+    """The real symmetric 4x4 CHSH combination of tensor-product spin operators.
 
     ``sign_choice`` selects which of the two sign patterns is built:
     S1a S2b -+ S1a S2b' + S1a' S2b +- S1a' S2b' with the upper pattern
@@ -88,12 +68,7 @@ def chsh_operator(a: Axis, ap: Axis, b: Axis, bp: Axis, sign_choice: int = 1) ->
     if sign_choice not in (1, -1):
         raise ValueError("sign_choice must be +1 or -1")
     quad = np.array([[a.theta, ap.theta, b.theta, bp.theta]])
-    return HermitianOperator(_chsh_batch(quad, sign_choice)[0])
-
-
-def operator_norm(h: HermitianOperator) -> float:
-    """Spectral norm (max absolute eigenvalue) via ``np.linalg.eigvalsh``."""
-    return float(spectral_norm(h.entries))
+    return _chsh_batch(quad, sign_choice)[0]
 
 
 def _spin_batch(theta: np.ndarray) -> np.ndarray:
@@ -118,8 +93,11 @@ def _chsh_batch(quads: np.ndarray, sign: int) -> np.ndarray:
     )
 
 
-def _identity_residual(quads: np.ndarray) -> float:
-    """Entrywise-max residual of the squared-CHSH identity over angle rows, both signs."""
+def identity_residual(quads: np.ndarray) -> float:
+    """Entrywise-max residual of the squared-CHSH identity over angle rows, both signs.
+
+    (CHSH)^2 = 4 V_MAX^4 I +- [S1a, S1a'] x [S2b, S2b'] is exact, so it sits at rounding level.
+    """
     s1a, s1ap, s2b, s2bp = (_spin_batch(quads[:, k]) for k in range(4))
     comm = _kron_batch(s1a @ s1ap - s1ap @ s1a, s2b @ s2bp - s2bp @ s2b)
     identity = np.eye(4)
@@ -131,18 +109,8 @@ def _identity_residual(quads: np.ndarray) -> float:
     return worst
 
 
-def verify_operator_identity(a: Axis, ap: Axis, b: Axis, bp: Axis) -> float:
-    """Residual of the squared-CHSH commutator identity, both sign choices.
-
-    (CHSH)^2 equals 4 V_MAX^4 I plus/minus the tensor product of the two
-    single-particle commutators; the identity is exact, so the returned
-    entrywise-max residual should sit at rounding level.
-    """
-    return _identity_residual(np.array([[a.theta, ap.theta, b.theta, bp.theta]]))
-
-
-def chsh_norm_grid(resolution: int, a_theta: float = 0.0) -> tuple:
-    """Max CHSH operator norm over a coplanar (a', b, b') grid with a fixed.
+def chsh_norm_grid(resolution: int) -> tuple:
+    """Max CHSH operator norm over a coplanar (a', b, b') grid with a = 0.
 
     Returns (best_axes, best_norm).  The grid steps are 2*pi/resolution, so
     the exact optimum lies on the grid whenever resolution is a multiple
@@ -157,7 +125,7 @@ def chsh_norm_grid(resolution: int, a_theta: float = 0.0) -> tuple:
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     thetas = np.arange(resolution) * (2.0 * math.pi / resolution)
-    sin_ap = np.abs(np.sin(thetas - a_theta))  # (a',)
+    sin_ap = np.abs(np.sin(thetas))  # (a',)
     sin_bbp = np.abs(np.sin(thetas[None, :] - thetas[:, None]))  # (b, b')
     norms = 2.0 * V_MAX**2 * np.sqrt(1.0 + sin_ap[:, None, None] * sin_bbp[None])
     best_flat = int(np.argmax(norms))
@@ -166,18 +134,20 @@ def chsh_norm_grid(resolution: int, a_theta: float = 0.0) -> tuple:
     picks = substream(0, stream=NORM_CHECK_STREAM).choice(norms.size, n_check, replace=False)
     picks = np.append(picks, best_flat)
     i_ap, i_b, i_bp = np.unravel_index(picks, norms.shape)
-    quads = np.stack([np.full(picks.size, a_theta), thetas[i_ap], thetas[i_b], thetas[i_bp]], axis=-1)
+    quads = np.stack([np.zeros(picks.size), thetas[i_ap], thetas[i_b], thetas[i_bp]], axis=-1)
     for sign in (1, -1):
         gap = np.abs(spectral_norm(_chsh_batch(quads, sign)) - norms.flat[picks]).max()
         if gap > NORM_CHECK_TOL:
             raise ArithmeticError(f"closed-form CHSH norm disagrees with eigvalsh by {gap:.3e}")
 
     i_ap, i_b, i_bp = np.unravel_index(best_flat, norms.shape)
-    best = (Axis(a_theta), Axis(thetas[i_ap]), Axis(thetas[i_b]), Axis(thetas[i_bp]), 1)
+    best = (Axis(0.0), Axis(thetas[i_ap]), Axis(thetas[i_b]), Axis(thetas[i_bp]), 1)
     return best, float(norms.flat[best_flat])
 
 
 def identity_residual_scan(n_quadruples: int, seed: int) -> float:
     """Worst commutator-identity residual over random axis quadruples."""
+    if n_quadruples < 1:
+        raise ValueError("n_quadruples must be >= 1")
     thetas = substream(seed, stream=9).uniform(0.0, 2.0 * math.pi, size=(n_quadruples, 4))
-    return _identity_residual(thetas)
+    return identity_residual(thetas)

@@ -19,6 +19,10 @@ BATCH_SIZE = 1 << 16
 
 def check_key(seed: int, stream: int, *batches: int) -> None:
     """Raise ValueError unless seed fits in 64 bits and stream and every batch in 32."""
+    # a float or a bool would be truncated into another key; numpy integers are fine
+    for x in (seed, stream, *batches):
+        if type(x) is bool or not isinstance(x, (int, np.integer)):
+            raise ValueError(f"seed, stream and batch must be integers, not {x!r}")
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed must fit in 64 bits")
     if not 0 <= stream < 1 << 32 or not all(0 <= k < 1 << 32 for k in batches):
@@ -28,7 +32,7 @@ def check_key(seed: int, stream: int, *batches: int) -> None:
 def substream(seed: int, stream: int = 0, batch: int = 0) -> np.random.Generator:
     """Independent Philox stream for (seed, stream, batch)."""
     check_key(seed, stream, batch)
-    key = np.array([seed, (stream << 32) | batch], dtype=np.uint64)
+    key = np.array([seed, (int(stream) << 32) | int(batch)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -79,6 +83,6 @@ class BatchStream:
 
     def at(self, stream: int, k: int) -> np.random.Generator:
         check_key(self._seed, stream, k)
-        self._key[1] = (stream << 32) | k
+        self._key[1] = (int(stream) << 32) | int(k)
         self._bit_generator.state = self._state
         return self._generator

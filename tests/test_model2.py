@@ -177,7 +177,7 @@ class TestTwoPartyField:
 
 def eigenprojector(axis, sign):
     """Projector onto the eigenvector of spin_operator(axis) with eigenvalue sign/2."""
-    values, vectors = np.linalg.eigh(spin_operator(axis).entries)
+    values, vectors = np.linalg.eigh(spin_operator(axis))
     v = vectors[:, values * sign > 0]
     return v @ v.conj().T
 

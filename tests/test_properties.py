@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from bellfoundry.geometry import (
@@ -22,11 +23,11 @@ from bellfoundry.lhv import (
 )
 from bellfoundry.model2 import decompose_field, two_party_prob
 from bellfoundry.quantum import (
+    identity_residual,
     singlet_expectation,
     singlet_joint_probability,
     singlet_joint_table,
     spin_operator,
-    verify_operator_identity,
 )
 
 angles = st.floats(
@@ -74,7 +75,7 @@ def test_singlet_rotationally_invariant(t1, t2, shift):
 
 @given(angles)
 def test_spin_operator_traceless_involution(theta):
-    s = spin_operator(Axis(theta)).entries
+    s = spin_operator(Axis(theta))
     assert abs(s[0, 0] + s[1, 1]) < 1e-12
     prod = s @ s
     assert abs(prod[0, 0] - 0.25) < 1e-12 and abs(prod[0, 1]) < 1e-12
@@ -83,7 +84,7 @@ def test_spin_operator_traceless_involution(theta):
 @settings(max_examples=25)
 @given(angles, angles, angles, angles)
 def test_operator_identity_exact(ta, tap, tb, tbp):
-    residual = verify_operator_identity(Axis(ta), Axis(tap), Axis(tb), Axis(tbp))
+    residual = identity_residual(np.array([[Axis(t).theta for t in (ta, tap, tb, tbp)]]))
     assert residual < 1e-12
 
 

@@ -5,16 +5,16 @@ import pytest
 
 from bellfoundry import quantum
 from bellfoundry.geometry import Axis, TSIRELSON_BOUND, V_MAX, wrap_delta
+from bellfoundry.linalg import spectral_norm
 from bellfoundry.quantum import (
-    HermitianOperator,
+    _chsh_batch,
     chsh_norm_grid,
     chsh_operator,
+    identity_residual,
     identity_residual_scan,
-    operator_norm,
     singlet_expectation,
     singlet_joint_probability,
     spin_operator,
-    verify_operator_identity,
 )
 from bellfoundry.rng import substream
 
@@ -98,17 +98,17 @@ class TestSingletLaw:
 class TestSpinOperator:
     def test_z_axis_diagonal(self):
         np.testing.assert_allclose(
-            spin_operator(Axis(0.0)).entries, np.diag([0.5, -0.5]), atol=1e-15
+            spin_operator(Axis(0.0)), np.diag([0.5, -0.5]), atol=1e-15
         )
 
     def test_x_axis_off_diagonal(self):
-        op = spin_operator(Axis(math.pi / 2)).entries
+        op = spin_operator(Axis(math.pi / 2))
         np.testing.assert_allclose(op, [[0, 0.5], [0.5, 0]], atol=1e-15)
 
     def test_trace_det_eigenvalues(self):
         rng = substream(25)
         for theta in rng.uniform(0, 2 * math.pi, size=20):
-            op = spin_operator(Axis(theta)).entries
+            op = spin_operator(Axis(theta))
             assert np.trace(op).real == pytest.approx(0.0, abs=1e-14)
             assert np.linalg.det(op).real == pytest.approx(-0.25, abs=1e-14)
 
@@ -117,17 +117,17 @@ class TestChshOperator:
     def test_degenerate_axes_norm(self):
         a, b = Axis(0.4), Axis(1.7)
         op = chsh_operator(a, a, b, b, sign_choice=1)
-        expected = 2.0 * np.kron(spin_operator(a).entries, spin_operator(b).entries)
-        np.testing.assert_allclose(op.entries, expected, atol=1e-14)
-        assert operator_norm(op) == pytest.approx(0.5, abs=1e-12)
+        expected = 2.0 * np.kron(spin_operator(a), spin_operator(b))
+        np.testing.assert_allclose(op, expected, atol=1e-14)
+        assert spectral_norm(op) == pytest.approx(0.5, abs=1e-12)
 
     def test_optimal_axes_reach_tsirelson(self):
-        # oracle: max |eigenvalue| from numpy, independent of the Jacobi path
+        # oracle: max |eigenvalue| straight from numpy's eigvalsh, with no Hermiticity check
         norms = []
         for sign in (1, -1):
             op = chsh_operator(*OPTIMAL, sign_choice=sign)
-            oracle = float(np.abs(np.linalg.eigvalsh(op.entries)).max())
-            norms.append((operator_norm(op), oracle))
+            oracle = float(np.abs(np.linalg.eigvalsh(op)).max())
+            norms.append((float(spectral_norm(op)), oracle))
         best, best_oracle = max(norms)
         assert best == pytest.approx(math.sqrt(2) / 2, abs=1e-10)
         assert best == pytest.approx(best_oracle, abs=1e-10)
@@ -136,21 +136,33 @@ class TestChshOperator:
         rng = substream(26)
         for _ in range(50):
             axes = [Axis(t) for t in rng.uniform(0, 2 * math.pi, size=4)]
-            op = chsh_operator(*axes, sign_choice=1).entries
+            op = chsh_operator(*axes, sign_choice=1)
             assert np.abs(op - op.conj().T).max() < 1e-12
+
+    def test_built_operators_exactly_symmetric(self):
+        # why no operator type re-checks Hermiticity: every built operator
+        # equals its transpose bit for bit, one at a time and batched
+        quads = substream(30).uniform(0, 2 * math.pi, size=(1000, 4))
+        for row in quads:
+            axes = [Axis(t) for t in row]
+            for axis in axes:
+                op = spin_operator(axis)
+                assert np.array_equal(op, op.T)
+            for sign in (1, -1):
+                op = chsh_operator(*axes, sign_choice=sign)
+                assert np.array_equal(op, op.T)
+        for sign in (1, -1):
+            ops = _chsh_batch(quads, sign)
+            assert np.array_equal(ops, np.swapaxes(ops, -2, -1))
 
     def test_norm_never_exceeds_tsirelson(self):
         rng = substream(27)
         for _ in range(200):
             axes = [Axis(t) for t in rng.uniform(0, 2 * math.pi, size=4)]
             for sign in (1, -1):
-                assert operator_norm(chsh_operator(*axes, sign_choice=sign)) <= (
+                assert spectral_norm(chsh_operator(*axes, sign_choice=sign)) <= (
                     TSIRELSON_BOUND + 1e-10
                 )
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            HermitianOperator(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 class TestOperatorIdentity:
@@ -158,31 +170,35 @@ class TestOperatorIdentity:
         rng = substream(28)
         for _ in range(100):
             axes = [Axis(t) for t in rng.uniform(0, 2 * math.pi, size=4)]
-            assert verify_operator_identity(*axes) < 1e-12
+            assert identity_residual(np.array([[x.theta for x in axes]])) < 1e-12
 
     def test_commuting_case(self):
         a, b, bp = Axis(0.9), Axis(1.2), Axis(2.0)
-        op = chsh_operator(a, a, b, bp, sign_choice=1).entries
+        op = chsh_operator(a, a, b, bp, sign_choice=1)
         np.testing.assert_allclose(op @ op, 0.25 * np.eye(4), atol=1e-13)
 
     def test_optimal_axes(self):
-        assert verify_operator_identity(*OPTIMAL) < 1e-12
+        assert identity_residual(np.array([[x.theta for x in OPTIMAL]])) < 1e-12
 
     def test_batched_scan_matches_loop(self):
-        # reference: the scan one quadruple at a time on the complex
-        # HermitianOperator entries, drawing the same angles in the same order
+        # reference: the scan one quadruple at a time on the built
+        # operators, drawing the same angles in the same order
         seed = 11
         rng = substream(seed, stream=9)
         worst = 0.0
         for _ in range(200):
             axes = [Axis(t) for t in rng.uniform(0, 2 * math.pi, size=4)]
-            s = [spin_operator(x).entries for x in axes]
+            s = [spin_operator(x) for x in axes]
             comm = np.kron(s[0] @ s[1] - s[1] @ s[0], s[2] @ s[3] - s[3] @ s[2])
             for sign in (1, -1):
-                op = chsh_operator(*axes, sign_choice=sign).entries
+                op = chsh_operator(*axes, sign_choice=sign)
                 expected = 4.0 * V_MAX**4 * np.eye(4) + sign * comm
                 worst = max(worst, float(np.abs(op @ op - expected).max()))
         assert identity_residual_scan(200, seed) == pytest.approx(worst, abs=2**-52)
+
+    def test_scan_rejects_no_quadruples(self):
+        with pytest.raises(ValueError, match="n_quadruples"):
+            identity_residual_scan(0, 1)
 
 
 class TestNormGrid:
@@ -202,13 +218,13 @@ class TestNormGrid:
             a, ap, b, bp = (x.theta for x in axes)
             closed = 2 * V_MAX**2 * math.sqrt(1 + abs(math.sin(ap - a) * math.sin(bp - b)))
             for sign in (1, -1):
-                op = chsh_operator(*axes, sign_choice=sign).entries
+                op = chsh_operator(*axes, sign_choice=sign)
                 assert np.abs(np.linalg.eigvalsh(op)).max() == pytest.approx(closed, abs=1e-12)
 
     def test_grid_optimum_has_tsirelson_spectrum(self):
         best, norm = chsh_norm_grid(64)
         assert norm == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
-        op = chsh_operator(*best[:4], sign_choice=best[4]).entries
+        op = chsh_operator(*best[:4], sign_choice=best[4])
         assert np.abs(np.linalg.eigvalsh(op)).max() == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
 
     def test_eigvalsh_disagreement_raises(self, monkeypatch):

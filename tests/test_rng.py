@@ -46,6 +46,17 @@ class TestBatchStreams:
             (0, 1 << 32, range(1)),
             (0, 0, range(-1, 1)),
             (0, 0, range(LAST_BATCH, LAST_BATCH + 2)),
+            # a non-integer would be truncated into another key
+            (1.5, 0, range(1)),
+            (np.float64(3.0), 0, range(1)),
+            (True, 0, range(1)),
+            ("1", 0, range(1)),
+            (0, 1.5, range(1)),
+            (0, False, range(1)),
+            (0, "0", range(1)),
+            (0, 0, [1.5]),
+            (0, 0, [True]),
+            (0, 0, ["0"]),
         ],
     )
     def test_rejects_out_of_range_key(self, seed, stream, batches):
@@ -58,6 +69,16 @@ class TestBatchStreams:
             keyed = BatchStream(seed)
             for k in batches:
                 keyed.at(stream, k)
+        with pytest.raises(ValueError):
+            for k in batches:
+                substream(seed, stream, k)
+
+    def test_numpy_integer_keys_draw_as_python_ints(self):
+        # a 32-bit numpy stream shifted in its own width would alias stream 0
+        seed, stream, batch = np.uint64(7), np.uint32(5), np.int32(3)
+        expected = substream(7, 5, 3).random(9)
+        assert np.array_equal(substream(seed, stream, batch).random(9), expected)
+        assert np.array_equal(BatchStream(seed).at(stream, batch).random(9), expected)
 
 
 class TestSubstream:
