@@ -31,8 +31,8 @@ print(f"F(+a) rewritten on the u axes with coefficients ({cp:.4f}, {cm:.4f})")
 print(f"identical predictions on a 32-axis grid: {predictions_equal(direct, rewritten, grid)}")
 probe = Axis(2.0)
 print(f"  e.g. P(+) along theta={probe.theta}: "
-      f"{superposition_probabilities(direct, probe)[0]:.6f} vs "
-      f"{superposition_probabilities(rewritten, probe)[0]:.6f}")
+      f"{superposition_probabilities(direct, probe):.6f} vs "
+      f"{superposition_probabilities(rewritten, probe):.6f}")
 
 print()
 c, b = Axis(0.0), Axis(math.pi / 3)

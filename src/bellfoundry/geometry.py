@@ -231,7 +231,6 @@ class ExpectationEstimate:
 
     value: float
     std_error: float
-    n: int
 
     def __post_init__(self):
         if abs(self.value) > V_MAX**2 + 1e-15:
@@ -256,4 +255,4 @@ def empirical_expectation(counts: PairCounts) -> ExpectationEstimate:
         # per-trial products are +-1/4, so var = 1/16 - mean**2 (plug-in)
         variance = max(V_MAX**4 - value * value, 0.0)
         std_error = math.sqrt(variance / (n - 1))
-    return ExpectationEstimate(value=value, std_error=std_error, n=n)
+    return ExpectationEstimate(value=value, std_error=std_error)

@@ -5,8 +5,8 @@ factorized per-particle responses, p(A1, B2 | lam) = p(A1 | lam) p(B2 | lam).
 Each factor is a two-outcome law fixed by one number, so a model states
 only P(+1/2 | lam) along an axis for each sampled variable; P(-1/2 | lam)
 is 1 - P(+1/2 | lam) wherever it is needed, and normalization holds by
-construction.  A deterministic model may state it as a boolean mask, which
-is P(+1/2 | lam) as 0 or 1.
+construction.  A deterministic model states it as a boolean mask, which is
+P(+1/2 | lam) as 0 or 1; only such a mask defines the Wigner set measures.
 """
 
 from __future__ import annotations
@@ -136,14 +136,16 @@ def sample_sign_model_counts(
 ) -> PairCounts:
     """Batch kernel for DeterministicSignModel: n trials from one draw of lam.
 
-    Equal in outcomes to ``sample_model_counts(DeterministicSignModel(), ...)``
-    on the same stream.  That path skips the two per-trial uniforms of its
-    boolean responses but keeps the stream position, 2n doubles past lam;
-    this kernel leaves the stream just after lam, so use it only where each
+    The model's own masks are the outcomes, so the counts equal
+    ``sample_model_counts(DeterministicSignModel(), ...)`` on the same
+    stream.  That path skips the two per-trial uniforms of its boolean
+    responses but keeps the stream position, 2n doubles past lam; this
+    kernel leaves the stream just after lam, so use it only where each
     call has a stream of its own, as engine batches do.
     """
-    lam = rng.uniform(0.0, TAU, size=n)
-    return counts_from_signs(_cos_nonneg(lam, a.theta), ~_cos_nonneg(lam, b.theta))
+    model = DeterministicSignModel()
+    lam = model.sample(rng, n)
+    return counts_from_signs(model.plus1(a, lam), model.plus2(b, lam))
 
 
 def model_expectation(
@@ -320,17 +322,16 @@ def _arc_intersection_length(clauses) -> float:
 
 
 def _plus_mask(model: HVModel, axis: Axis, lam: np.ndarray) -> np.ndarray:
-    """Draws on which particle 1 answers +1/2 along axis; every P(+) must be 0 or 1.
+    """Draws on which particle 1 answers +1/2 along axis.
 
-    A boolean P(+) is that mask already; a float one is checked on every draw.
+    A deterministic model states P(+1/2 | lam) as a boolean mask, which is
+    returned as it is; a float response is a stochastic model's, for which
+    no subset of lam has a measure.
     """
     p = model.plus1(axis, lam)
-    if p.dtype == bool:
-        return p
-    plus = p == 1.0
-    if not (plus | (p == 0.0)).all():
+    if p.dtype != bool:
         raise ValueError("measure undefined for stochastic models")
-    return plus
+    return p
 
 
 def _mc_measures(model: HVModel, specs, n: int, rng: np.random.Generator | None) -> list:

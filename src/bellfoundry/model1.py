@@ -5,8 +5,11 @@ the sphere.  Measurement probabilities attach to a hemisphere ensemble as
 a whole, not to the individual vector: under the ensemble centered on axis
 a (positive side), the outcome along b is +1/2 with probability
 (cos(theta_b - theta_a) + 1) / 2, so the outcome average equals the mean
-projection over the ensemble.  Measuring fixes the ensemble of both
-particles, which is where the singlet correlation comes from.
+projection over the ensemble.  That one number fixes the measurement, so
+the law states only P(+1/2); P(-1/2) is 1 - P(+1/2).  Measuring fixes the
+ensemble of both particles, which is where the singlet correlation comes
+from: particle 1's outcome is its hemisphere along a, and particle 2 is
+measured under the opposite ensemble.
 
 The underlying stochastic motion inside the ensemble is not simulated as
 a time process; only the ensemble-level probability law is observable.
@@ -30,62 +33,47 @@ from .geometry import (
 )
 
 
-def single_measure_prob(label: Hemisphere, b: Axis) -> tuple:
-    """(P_plus, P_minus) for an outcome along b under a hemisphere ensemble.
+def single_measure_prob(label: Hemisphere, b: Axis) -> float:
+    """P(R_b = +1/2) for an outcome along b under a hemisphere ensemble.
 
-    P(R_b = +1/2) = (cos(theta_b - theta_ensemble) + 1) / 2, the unique
-    law whose outcome average matches the mean projection of the ensemble.
+    P(+1/2) = (cos(theta_b - theta_ensemble) + 1) / 2, the unique law
+    whose outcome average matches the mean projection of the ensemble.
     """
-    p_plus = (math.cos(b.theta - label.effective_angle) + 1.0) / 2.0
-    return p_plus, 1.0 - p_plus
+    return (math.cos(b.theta - label.effective_angle) + 1.0) / 2.0
 
 
 def measure_single(
     rng: np.random.Generator, label: Hemisphere, b: Axis
 ) -> tuple:
     """Sample one outcome sign along b; subsequent measurements see the b ensemble."""
-    p_plus, _ = single_measure_prob(label, b)
-    sign = 1 if rng.random() < p_plus else -1
+    sign = 1 if rng.random() < single_measure_prob(label, b) else -1
     return sign, Hemisphere(b, sign)
 
 
-def epr_trial(
-    rng: np.random.Generator, a: Axis, b: Axis, first_particle: int = 1
-) -> tuple:
-    """One two-particle trial: particle `first_particle` along a, the other along b.
+def epr_trial(rng: np.random.Generator, a: Axis, b: Axis) -> tuple:
+    """One two-particle trial: particle 1 along a, particle 2 along b.
 
-    J1 is uniform on the sphere and J2 = -J1.  The first outcome is the
-    hemisphere of the measured particle's vector (boundary J.a = 0 counts
-    as +); the partner collapses to the opposite hemisphere ensemble along
-    a and is measured along b by the single-particle law.  Returns the
-    outcome signs of particles 1 and 2.
+    J1 is uniform on the sphere and J2 = -J1.  Particle 1's outcome is the
+    hemisphere of J1 (boundary J1.a = 0 counts as +); particle 2 collapses
+    to the opposite hemisphere ensemble along a and is measured along b by
+    the single-particle law.  Returns the outcome signs of particles 1 and 2.
     """
-    if first_particle not in (1, 2):
-        raise ValueError("first_particle must be 1 or 2")
     j1 = sample_unit_vectors(rng, 1)[0]
-    measured = j1 if first_particle == 1 else -j1
-    s1 = 1 if Hemisphere(a, 1).contains(measured) else -1
-    p_plus, _ = single_measure_prob(Hemisphere(a, -s1), b)
-    s2 = 1 if rng.random() < p_plus else -1
-    if first_particle == 1:
-        return s1, s2
-    return s2, s1
+    s1 = 1 if Hemisphere(a, 1).contains(j1) else -1
+    s2 = 1 if rng.random() < single_measure_prob(Hemisphere(a, -s1), b) else -1
+    return s1, s2
 
 
 def sample_trial_counts(
-    rng: np.random.Generator, a: Axis, b: Axis, n: int, first_particle: int = 1
+    rng: np.random.Generator, a: Axis, b: Axis, n: int
 ) -> PairCounts:
     """Vectorized batch of epr_trial outcomes tallied into PairCounts."""
-    if first_particle not in (1, 2):
-        raise ValueError("first_particle must be 1 or 2")
     # partner ensemble is Hemisphere(a, -s1): P(+) = (1 - s1 * cos d) / 2
     cos_d = math.cos(wrap_delta(a, b))
     plus1, plus2 = hemisphere_pair_signs(
         rng, a.unit_vector, (1.0 - cos_d) / 2.0, (1.0 + cos_d) / 2.0, n
     )
-    if first_particle == 1:
-        return counts_from_signs(plus1, plus2)
-    return counts_from_signs(plus2, plus1)
+    return counts_from_signs(plus1, plus2)
 
 
 def pointwise_rule_expectation(a: Axis, b: Axis) -> float:
@@ -102,12 +90,11 @@ def pointwise_rule_expectation(a: Axis, b: Axis) -> float:
 
 def sample_pointwise_rule_counts(
     rng: np.random.Generator, a: Axis, b: Axis, n: int
-) -> PairCounts:
-    """Single-particle trials under ensemble +a with the pointwise sign rule.
+) -> int:
+    """Count of + outcomes along b in n trials under ensemble +a with the pointwise sign rule.
 
-    The first sign is the a-hemisphere membership (always +, by
-    construction), the second is sign(J.b); only the second is physical.
+    Each trial draws J uniform on the +a hemisphere and answers sign(J.b).
     """
     j = sample_unit_vectors(rng, n)
     j = np.where(Hemisphere(a, 1).contains(j)[:, None], j, -j)  # restrict to +a
-    return counts_from_signs(np.ones(n, dtype=bool), Hemisphere(b, 1).contains(j))
+    return int(np.count_nonzero(Hemisphere(b, 1).contains(j)))

@@ -9,9 +9,11 @@ measurement along b rotates the field toward the apparatus axes.
 One half-angle amplitude carries every prediction: ``decompose_field``
 rewrites a field on the two hemispheres of any axis u, and its
 coefficients are the amplitudes of the outcomes +1/2 and -1/2 along u.
-Probabilities are their squares, so a + field along a gives
-P(+) = cos((theta_b - theta_a)/2)**2.  Pointwise field values are kept
-for particle-membership logic and quadrature validation.
+A measurement along b is fixed by one number, P(+1/2), the square of the
+amplitude of +1/2, so a + field along a gives
+P(+1/2) = cos((theta_b - theta_a)/2)**2, and P(-1/2) is 1 - P(+1/2).
+Pointwise field values are kept for particle-membership logic and
+quadrature validation.
 
 Fields superpose linearly, and superpositions on different hemispheres
 can give identical predictions along every axis: an equivalence class.
@@ -88,18 +90,17 @@ def decompose_field(field: Hemisphere, u: Axis) -> tuple:
     return -math.sin(half), math.cos(half)
 
 
-def measure_prob_single(initial: Hemisphere, b: Axis) -> tuple:
-    """(P_plus, P_minus) for a measurement along b on a single hemifield.
+def measure_prob_single(initial: Hemisphere, b: Axis) -> float:
+    """P(+1/2) for a measurement along b on a single hemifield.
 
-    The apparatus rotates the field toward the measurement axes; each
+    The apparatus rotates the field toward the measurement axes; the
     outcome's probability is its squared amplitude along b.
     """
-    c_plus, c_minus = decompose_field(initial, b)
-    return c_plus**2, c_minus**2
+    return decompose_field(initial, b)[0] ** 2
 
 
-def superposition_probabilities(f: FieldSuperposition, b: Axis) -> tuple:
-    """(P_plus, P_minus) for a measurement along b on a field superposition."""
+def superposition_probabilities(f: FieldSuperposition, b: Axis) -> float:
+    """P(+1/2) for a measurement along b on a field superposition."""
     amp_plus = amp_minus = 0.0
     for c, t in f.terms:
         plus, minus = decompose_field(t, b)
@@ -108,7 +109,7 @@ def superposition_probabilities(f: FieldSuperposition, b: Axis) -> tuple:
     norm = amp_plus**2 + amp_minus**2
     if norm <= 0.0:
         raise ValueError("field superposition vanishes")
-    return amp_plus**2 / norm, amp_minus**2 / norm
+    return amp_plus**2 / norm
 
 
 def predictions_equal(
@@ -117,13 +118,11 @@ def predictions_equal(
     axis_grid,
     tolerance: float = 1e-10,
 ) -> bool:
-    """True iff both fields predict the same outcome statistics on every axis."""
-    for b in axis_grid:
-        pl = superposition_probabilities(lhs, b)
-        pr = superposition_probabilities(rhs, b)
-        if abs(pl[0] - pr[0]) > tolerance or abs(pl[1] - pr[1]) > tolerance:
-            return False
-    return True
+    """True iff both fields predict the same P(+1/2), and so the same statistics, on every axis."""
+    return not any(
+        abs(superposition_probabilities(lhs, b) - superposition_probabilities(rhs, b)) > tolerance
+        for b in axis_grid
+    )
 
 
 def two_party_prob(label: Axis, c: Axis, b: Axis, c1: int, b2: int) -> float:
@@ -145,8 +144,8 @@ def two_party_prob(label: Axis, c: Axis, b: Axis, c1: int, b2: int) -> float:
     return amplitude**2 / 2.0
 
 
-def conditional_inference(label: Axis, measured_axis: Axis, a1: int, b: Axis) -> tuple:
-    """(P(B2=+|A1), P(B2=-|A1)) when the first measurement is unperturbing.
+def conditional_inference(label: Axis, measured_axis: Axis, a1: int, b: Axis) -> float:
+    """P(B2 = +1/2 | A1) when the first measurement is unperturbing.
 
     Valid only when the field representative is labeled by the measured
     axis, in which case the first outcome reveals the particle hemisphere
@@ -166,7 +165,7 @@ def epr_trial_model2(rng: np.random.Generator, first_axis: Axis, second_axis: Ax
     """
     r1 = sample_unit_vectors(rng, 1)[0]
     s1 = 1 if Hemisphere(first_axis, 1).contains(r1) else -1
-    p_plus, _ = conditional_inference(first_axis, first_axis, s1, second_axis)
+    p_plus = conditional_inference(first_axis, first_axis, s1, second_axis)
     s2 = 1 if rng.random() < p_plus else -1
     return s1, s2
 
@@ -207,7 +206,6 @@ def measure_sphere(rng: np.random.Generator, state: SphereState, b: Axis) -> tup
     (the interaction may move it; the redistribution is uniform).
     Measurements along different axes do not commute.
     """
-    p_plus, _ = measure_prob_single(state.field, b)
-    sign = 1 if rng.random() < p_plus else -1
+    sign = 1 if rng.random() < measure_prob_single(state.field, b) else -1
     post = Hemisphere(b, sign)
     return sign, prepare_sphere(rng, post)

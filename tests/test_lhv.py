@@ -199,7 +199,7 @@ def _assert_table_scores_equal(values, errors):
     """_worst_chsh and the loop agree exactly on one table of estimates."""
     g = len(values)
     estimates = {
-        (i, j): ExpectationEstimate(float(values[i, j]), float(errors[i, j]), 100)
+        (i, j): ExpectationEstimate(float(values[i, j]), float(errors[i, j]))
         for i in range(g)
         for j in range(g)
     }
@@ -483,6 +483,16 @@ class TestWignerMeasures:
             wigner_measure(
                 LateStochasticModel(), SubsetSpec([(Axis(0.0), 1)]), "mc", 4096, substream(47)
             )
+
+    def test_float_response_is_refused_even_at_zero_and_one(self):
+        class FloatSignModel(DeterministicSignModel):
+            """The sign model's rule stated as float P(+) of 0.0 and 1.0."""
+
+            def plus1(self, a, lam):
+                return super().plus1(a, lam).astype(float)
+
+        with pytest.raises(ValueError, match="measure undefined"):
+            wigner_measure(FloatSignModel(), SubsetSpec([(Axis(0.0), 1)]), "mc", 1000, substream(48))
 
     def test_analytic_mode_requires_builtin(self):
         with pytest.raises(ValueError):

@@ -28,22 +28,19 @@ class TestEnsembleLaw:
         rng = substream(52)
         for _ in range(100):
             t1, t2 = rng.uniform(0, 2 * math.pi, size=2)
-            p_plus, p_minus = single_measure_prob(Hemisphere(Axis(t1), 1), Axis(t2))
-            assert p_plus + p_minus == pytest.approx(1.0)
-            assert 0.0 <= p_plus <= 1.0
+            assert 0.0 <= single_measure_prob(Hemisphere(Axis(t1), 1), Axis(t2)) <= 1.0
 
     def test_same_axis_certain(self):
         a = Axis(1.2)
-        assert single_measure_prob(Hemisphere(a, 1), a) == (1.0, 0.0)
-        p_plus, _ = single_measure_prob(Hemisphere(a, -1), a)
-        assert p_plus == pytest.approx(0.0)
+        assert single_measure_prob(Hemisphere(a, 1), a) == 1.0
+        assert single_measure_prob(Hemisphere(a, -1), a) == pytest.approx(0.0)
 
     def test_outcome_average_matches_field_average(self):
         # oracle: quadrature of the projection field over the hemisphere;
         # the integrated field equals cos(offset), twice the outcome average
         for offset in (0.0, math.pi / 4, math.pi / 2, 2.3):
-            p_plus, p_minus = single_measure_prob(Hemisphere(Axis(0.0), 1), Axis(offset))
-            average = 0.5 * p_plus - 0.5 * p_minus
+            p_plus = single_measure_prob(Hemisphere(Axis(0.0), 1), Axis(offset))
+            average = 0.5 * p_plus - 0.5 * (1.0 - p_plus)
             assert 2.0 * average == pytest.approx(hemi_average_quadrature(offset), abs=1e-10)
 
     def test_measure_single_updates_ensemble(self):
@@ -57,24 +54,23 @@ class TestEnsembleLaw:
 REFERENCE_PAIRS = [(0.0, 0.0), (0.3, 1.1), (5.9, 4.2), (0.0, math.pi), (2.0, 2.0 + math.pi / 2)]
 
 
-def reference_trial_counts(rng, a, b, n, first_particle=1):
+def reference_trial_counts(rng, a, b, n):
     """The batch law written out with +-1 sign arrays and a per-trial threshold array."""
     j = rng.standard_normal((n, 3))
     j = j / np.linalg.norm(j, axis=1, keepdims=True)
     s1 = np.where(j @ a.unit_vector >= 0.0, 1, -1)
     p_plus = (1.0 - s1 * math.cos(wrap_delta(a, b))) / 2.0
     s2 = np.where(rng.random(n) < p_plus, 1, -1)
-    return counts_from_signs(s1, s2) if first_particle == 1 else counts_from_signs(s2, s1)
+    return counts_from_signs(s1, s2)
 
 
 class TestEprTrials:
-    @pytest.mark.parametrize("first_particle", [1, 2])
-    def test_batch_equals_reference_law(self, first_particle):
+    def test_batch_equals_reference_law(self):
         for k, (ta, tb) in enumerate(REFERENCE_PAIRS):
             for n in (1, 999, 65_536):
                 a, b = Axis(ta), Axis(tb)
-                got = sample_trial_counts(substream(61, k), a, b, n, first_particle)
-                expected = reference_trial_counts(substream(61, k), a, b, n, first_particle)
+                got = sample_trial_counts(substream(61, k), a, b, n)
+                expected = reference_trial_counts(substream(61, k), a, b, n)
                 assert got == expected
 
     def test_same_axis_perfectly_anticorrelated(self):
@@ -89,15 +85,6 @@ class TestEprTrials:
             est = empirical_expectation(counts)
             assert abs(est.value - singlet_expectation(Axis(0.0), Axis(delta))) < 5 * est.std_error
 
-    def test_order_independence(self):
-        # measuring particle 2 first gives the same joint law
-        a, b = Axis(0.0), Axis(math.pi / 3)
-        n = 400_000
-        first = empirical_expectation(sample_trial_counts(substream(56), a, b, n, 1))
-        second = empirical_expectation(sample_trial_counts(substream(57), a, b, n, 2))
-        tol = 5 * math.sqrt(first.std_error**2 + second.std_error**2)
-        assert abs(first.value - second.value) < tol
-
     def test_scalar_trial_agrees_with_batch(self):
         a, b = Axis(0.0), Axis(math.pi / 4)
         rng = substream(58)
@@ -107,10 +94,6 @@ class TestEprTrials:
         est = empirical_expectation(sample_trial_counts(substream(59), a, b, n))
         tol = 5 * math.sqrt(2) * est.std_error
         assert abs(value - est.value) < tol
-
-    def test_epr_trial_validates_particle(self):
-        with pytest.raises(ValueError):
-            epr_trial(substream(60), Axis(0.0), Axis(0.0), first_particle=3)
 
 
 class TestPointwiseRuleCheck:
@@ -126,8 +109,7 @@ class TestPointwiseRuleCheck:
         # oracle: brute-force conditional hemisphere fraction on the sphere
         a, b = Axis(0.0), Axis(math.pi / 4)
         n = 400_000
-        counts = sample_pointwise_rule_counts(substream(61), a, b, n)
-        frac_plus = counts.n_pp / n
+        frac_plus = sample_pointwise_rule_counts(substream(61), a, b, n) / n
         linear = pointwise_rule_expectation(a, b)  # = (2 frac_plus - 1) / 2
         se = math.sqrt(frac_plus * (1 - frac_plus) / n)
         assert abs(frac_plus - (2 * linear + 1) / 2) < 5 * se

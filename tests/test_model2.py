@@ -56,21 +56,17 @@ class TestHemiField:
 class TestSingleMeasurement:
     def test_aligned_field_certain(self):
         a = Axis(0.8)
-        assert measure_prob_single(Hemisphere(a, 1), a) == (1.0, 0.0)
-        p_plus, p_minus = measure_prob_single(Hemisphere(a, -1), a)
-        assert p_plus == pytest.approx(0.0) and p_minus == pytest.approx(1.0)
+        assert measure_prob_single(Hemisphere(a, 1), a) == 1.0
+        assert measure_prob_single(Hemisphere(a, -1), a) == pytest.approx(0.0)
 
     def test_probabilities_normalized(self):
         rng = substream(70)
         for _ in range(100):
             t1, t2 = rng.uniform(0, 2 * math.pi, size=2)
-            p_plus, p_minus = measure_prob_single(Hemisphere(Axis(t1), 1), Axis(t2))
-            assert p_plus + p_minus == pytest.approx(1.0)
-            assert 0.0 <= p_plus <= 1.0
+            assert 0.0 <= measure_prob_single(Hemisphere(Axis(t1), 1), Axis(t2)) <= 1.0
 
     def test_orthogonal_axes_even(self):
-        p_plus, _ = measure_prob_single(Hemisphere(Axis(0.0), 1), Axis(math.pi / 2))
-        assert p_plus == pytest.approx(0.5)
+        assert measure_prob_single(Hemisphere(Axis(0.0), 1), Axis(math.pi / 2)) == pytest.approx(0.5)
 
 
 class TestEquivalence:
@@ -99,6 +95,24 @@ class TestEquivalence:
             cp, cm = decompose_field(Hemisphere(a, 1), u)
             rewritten = FieldSuperposition([(cp, Hemisphere(u, 1)), (cm, Hemisphere(u, -1))])
             assert predictions_equal(direct, rewritten, GRID)
+
+    def test_inequivalent_fields_differ(self):
+        # F(-a) and F(+u), u != a, predict differently from F(+a) on some grid axis
+        rng = substream(77)
+        for _ in range(25):
+            a, u = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
+            direct = FieldSuperposition([(1.0, Hemisphere(a, 1))])
+            flipped = FieldSuperposition([(1.0, Hemisphere(a, -1))])
+            assert not predictions_equal(direct, flipped, GRID)
+            assert not predictions_equal(flipped, direct, GRID)
+            if abs(wrap_delta(a, u)) > 1e-3:
+                other = FieldSuperposition([(1.0, Hemisphere(u, 1))])
+                assert not predictions_equal(direct, other, GRID)
+        # F(+0) and F(+0.5) agree along the bisector 0.25; one other axis splits them
+        direct = FieldSuperposition([(1.0, Hemisphere(Axis(0.0), 1))])
+        other = FieldSuperposition([(1.0, Hemisphere(Axis(0.5), 1))])
+        assert predictions_equal(direct, other, [Axis(0.25)])
+        assert not predictions_equal(direct, other, [Axis(0.25), Axis(0.0)])
 
     def test_composition_of_rewrites(self):
         # rewriting a -> u -> v must equal rewriting a -> v directly
@@ -164,11 +178,10 @@ class TestTwoPartyField:
         for _ in range(50):
             a, b = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
             for o1 in (1, -1):
-                p_plus, p_minus = conditional_inference(a, a, o1, b)
+                p_plus = conditional_inference(a, a, o1, b)
                 marginal = 0.5  # first outcome is unbiased
                 joint_plus = two_party_prob(a, a, b, o1, 1)
                 assert p_plus == pytest.approx(joint_plus / marginal, abs=1e-12)
-                assert p_plus + p_minus == pytest.approx(1.0)
 
     def test_inference_needs_matching_label(self):
         with pytest.raises(ValueError, match="inference undefined"):
@@ -194,10 +207,10 @@ class TestBornRule:
             a, b = (Axis(t) for t in rng.uniform(-2 * math.pi, 4 * math.pi, size=2))
             for field_sign in (1, -1):
                 state = eigenprojector(a, field_sign)
-                got = measure_prob_single(Hemisphere(a, field_sign), b)
-                for k, sign in enumerate((1, -1)):
+                p_plus = measure_prob_single(Hemisphere(a, field_sign), b)
+                for sign, got in ((1, p_plus), (-1, 1.0 - p_plus)):
                     born = np.trace(eigenprojector(b, sign) @ state).real
-                    assert abs(got[k] - born) < 1e-12
+                    assert abs(got - born) < 1e-12
 
     def test_two_party_field_is_the_singlet_state(self):
         rng = substream(85)
@@ -338,6 +351,6 @@ class TestSingleSphereSequence:
             if o1 > 0:
                 conditioned += 1
                 hits += o2 > 0
-        expected = measure_prob_single(Hemisphere(b, 1), c)[0]
+        expected = measure_prob_single(Hemisphere(b, 1), c)
         se = math.sqrt(expected * (1 - expected) / conditioned)
         assert abs(hits / conditioned - expected) < 5 * se

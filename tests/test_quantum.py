@@ -122,15 +122,18 @@ class TestChshOperator:
         assert spectral_norm(op) == pytest.approx(0.5, abs=1e-12)
 
     def test_optimal_axes_reach_tsirelson(self):
-        # oracle: max |eigenvalue| straight from numpy's eigvalsh, with no Hermiticity check
+        # oracles: the largest singular value (an SVD, not an eigen-solve) and
+        # the closed form 2 V^2 sqrt(1 + |sin(a' - a) sin(b' - b)|)
+        a, ap, b, bp = (axis.theta for axis in OPTIMAL)
+        closed = 2 * V_MAX**2 * math.sqrt(1 + abs(math.sin(ap - a) * math.sin(bp - b)))
         norms = []
         for sign in (1, -1):
             op = chsh_operator(*OPTIMAL, sign_choice=sign)
-            oracle = float(np.abs(np.linalg.eigvalsh(op)).max())
-            norms.append((float(spectral_norm(op)), oracle))
-        best, best_oracle = max(norms)
-        assert best == pytest.approx(math.sqrt(2) / 2, abs=1e-10)
-        assert best == pytest.approx(best_oracle, abs=1e-10)
+            norm = float(spectral_norm(op))
+            assert norm == pytest.approx(np.linalg.norm(op, 2), abs=1e-10)
+            assert norm == pytest.approx(closed, abs=1e-10)
+            norms.append(norm)
+        assert max(norms) == pytest.approx(math.sqrt(2) / 2, abs=1e-10)
 
     def test_hermitian_by_construction(self):
         rng = substream(26)
