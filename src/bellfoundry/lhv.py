@@ -30,7 +30,6 @@ from .geometry import (
     wrap_angle,
     wrap_delta,
 )
-from .rng import skip
 
 # cos changes sign between each of these doubles and the next one up:
 # cos(fl(pi/2)) = +6.1e-17 and cos(fl(3pi/2)) = -1.8e-16.
@@ -104,16 +103,12 @@ class ConstantResponseModel:
 
 
 def _outcomes(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Boolean "+" outcomes of n trials with P(+1/2) = p, drawn with n uniforms.
+    """Boolean "+" outcomes of n trials with P(+1/2) = p.
 
-    A boolean p is its own outcome, since ``rng.random(n) < p`` equals p;
-    its n uniforms are skipped rather than drawn, and the stream ends where
-    drawing them would have left it.
+    A float p is decided by n uniforms; a boolean p is its own outcome and
+    draws nothing.
     """
-    if p.dtype == bool:
-        skip(rng, n)
-        return p
-    return rng.random(n) < p
+    return p if p.dtype == bool else rng.random(n) < p
 
 
 def sample_model_counts(
@@ -121,9 +116,9 @@ def sample_model_counts(
 ) -> PairCounts:
     """Draw n trials: sample lam, then outcomes from the factorized responses.
 
-    Each particle's outcomes take n uniforms of the stream, particle 1's
-    first.  A boolean response skips its uniforms instead of drawing them,
-    which keeps both the outcomes and the stream position of drawing them.
+    A float response takes n uniforms of the stream, particle 1's first.
+    A boolean response draws nothing, so a deterministic model leaves the
+    stream just after lam.
     """
     lam = model.sample(rng, n)
     p1 = model.plus1(a, lam)
@@ -134,18 +129,8 @@ def sample_model_counts(
 def sample_sign_model_counts(
     rng: np.random.Generator, a: Axis, b: Axis, n: int
 ) -> PairCounts:
-    """Batch kernel for DeterministicSignModel: n trials from one draw of lam.
-
-    The model's own masks are the outcomes, so the counts equal
-    ``sample_model_counts(DeterministicSignModel(), ...)`` on the same
-    stream.  That path skips the two per-trial uniforms of its boolean
-    responses but keeps the stream position, 2n doubles past lam; this
-    kernel leaves the stream just after lam, so use it only where each
-    call has a stream of its own, as engine batches do.
-    """
-    model = DeterministicSignModel()
-    lam = model.sample(rng, n)
-    return counts_from_signs(model.plus1(a, lam), model.plus2(b, lam))
+    """``sample_model_counts`` for DeterministicSignModel, in the engine's (rng, a, b, n) order."""
+    return sample_model_counts(DeterministicSignModel(), a, b, n, rng)
 
 
 def model_expectation(
@@ -252,8 +237,12 @@ def joint_distribution_chsh(f: np.ndarray) -> float | np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape[-4:] != (2, 2, 2, 2):
         raise ValueError("joint distribution must have shape (..., 2, 2, 2, 2)")
-    if (f < -1e-15).any() or (np.abs(f.sum(axis=(-4, -3, -2, -1)) - 1.0) > 1e-12).any():
-        raise ValueError("joint distribution must be nonnegative and normalized")
+    if (
+        not np.isfinite(f).all()
+        or (f < -1e-15).any()
+        or (np.abs(f.sum(axis=(-4, -3, -2, -1)) - 1.0) > 1e-12).any()
+    ):
+        raise ValueError("joint distribution must be finite, nonnegative and normalized")
     v = np.array([V_MAX, -V_MAX])
     e_ab = np.einsum("i,k,...ijkl->...", v, v, f)
     e_abp = np.einsum("i,l,...ijkl->...", v, v, f)
@@ -278,6 +267,8 @@ def stochastic_defect(model: HVModel, a: Axis, n: int, rng: np.random.Generator)
     the chance of equal outcomes at one axis; it vanishes exactly when the
     model can reproduce the perfect same-axis anticorrelation.
     """
+    if n <= 0:
+        raise ValueError("trial count must be positive")
     lam = model.sample(rng, n)
     p1 = model.plus1(a, lam)
     p2 = model.plus2(a, lam)

@@ -52,9 +52,11 @@ class FieldSuperposition:
 
     def __init__(self, terms):
         terms = tuple((float(c), f) for c, f in terms)
-        for _, f in terms:
+        for c, f in terms:
             if not isinstance(f, Hemisphere):
                 raise TypeError("terms must pair coefficients with a Hemisphere")
+            if not math.isfinite(c):
+                raise ValueError("superposition coefficients must be finite")
         object.__setattr__(self, "terms", terms)
 
 

@@ -36,33 +36,6 @@ def substream(seed: int, stream: int = 0, batch: int = 0) -> np.random.Generator
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def skip(generator: np.random.Generator, k: int) -> None:
-    """Move ``generator`` past k doubles, leaving it where ``generator.random(k)`` would.
-
-    A Philox generator jumps: ``random_raw`` empties the rest of its
-    four-word buffer, ``advance`` passes the whole four-word blocks, and
-    ``random_raw`` draws the tail.  ``advance`` resets the spare 32-bit
-    word, so that is put back.  Any other bit generator draws and discards.
-    """
-    if k < 0:
-        raise ValueError("cannot skip a negative number of draws")
-    bit_generator = generator.bit_generator
-    if not isinstance(bit_generator, np.random.Philox):
-        generator.random(k)
-        return
-    state = bit_generator.state
-    head = min(k, 4 - state["buffer_pos"])
-    blocks, tail = divmod(k - head, 4)
-    bit_generator.random_raw(head)
-    if blocks:
-        bit_generator.advance(blocks)
-        moved = bit_generator.state
-        moved["has_uint32"] = state["has_uint32"]
-        moved["uinteger"] = state["uinteger"]
-        bit_generator.state = moved
-    bit_generator.random_raw(tail)
-
-
 class BatchStream:
     """One Philox under one seed, re-keyed in place to draw as ``substream(seed, stream, k)``.
 

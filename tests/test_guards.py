@@ -2,16 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from bellfoundry import cli, engine
-from bellfoundry.geometry import Axis, ExpectationEstimate, PairCounts
+from bellfoundry.geometry import Axis, ExpectationEstimate, Hemisphere, PairCounts
 from bellfoundry.lhv import (
     ConstantResponseModel,
     DeterministicSignModel,
     SubsetSpec,
     chsh_value,
+    joint_distribution_chsh,
     model_expectation,
+    stochastic_defect,
     wigner_measure,
 )
 from bellfoundry.model2 import FieldSuperposition
@@ -38,13 +41,20 @@ SPEC = SubsetSpec([(A, 1)])
          ValueError, "MC mode needs a positive n"),
         (lambda: wigner_measure(DeterministicSignModel(), SPEC, "exact"), ValueError, "unknown mode"),
         (lambda: FieldSuperposition([(1.0, A)]), TypeError, "pair coefficients with a Hemisphere"),
+        (lambda: FieldSuperposition([(math.nan, Hemisphere(A, 1))]), ValueError,
+         "coefficients must be finite"),
+        (lambda: joint_distribution_chsh(np.full((2, 2, 2, 2), np.nan)), ValueError,
+         "joint distribution must be finite"),
+        (lambda: stochastic_defect(DeterministicSignModel(), A, 0, substream(1)),
+         ValueError, "trial count must be positive"),
         (lambda: chsh_operator(A, B, A, B, sign_choice=0), ValueError, "sign_choice must be"),
         (lambda: cli._parse_axes("0,1,2,x"), cli.UsageError, "bad angle in --axes"),
     ],
     ids=[
         "run_counts_trials", "pair_counts_negative", "estimate_magnitude", "constant_p",
         "model_expectation_n", "chsh_value_sign", "subset_spec_empty", "mc_needs_n",
-        "unknown_mode", "superposition_term", "chsh_operator_sign", "parse_axes",
+        "unknown_mode", "superposition_term", "superposition_finite", "joint_distribution_finite",
+        "stochastic_defect_n", "chsh_operator_sign", "parse_axes",
     ],
 )
 def test_guard_raises(call, error, message):

@@ -119,6 +119,26 @@ class TestDeterministicSignModel:
         assert sign_model_expectation_analytic(Axis(0.0), Axis(math.pi / 2)) == pytest.approx(0.0)
 
 
+class TestStreamPosition:
+    """How far ``sample_model_counts`` moves its stream: n doubles per float response, none per boolean."""
+
+    @pytest.mark.parametrize("n", [1, 5, 1000])
+    def test_boolean_responses_draw_nothing(self, n):
+        rng = substream(50)
+        sample_model_counts(DeterministicSignModel(), Axis(0.3), Axis(1.1), n, rng)
+        fresh = substream(50)
+        fresh.uniform(0.0, TAU, n)
+        assert rng.random(9).tolist() == fresh.random(9).tolist()
+
+    @pytest.mark.parametrize("n", [1, 5, 1000])
+    def test_float_responses_draw_n_uniforms_each(self, n):
+        rng = substream(51)
+        sample_model_counts(ConstantResponseModel(0.3), Axis(0.3), Axis(1.1), n, rng)
+        fresh = substream(51)
+        fresh.random(3 * n)
+        assert rng.random(9).tolist() == fresh.random(9).tolist()
+
+
 class TestChshValue:
     def test_saturated_bound(self):
         assert chsh_value(-0.25, -0.25, -0.25, -0.25, 1) == pytest.approx(0.5)
@@ -268,8 +288,8 @@ class TestMonteCarloStreamPin:
 
     GRID = [Axis(k * math.pi / 4.0) for k in range(8)]
     DIGESTS = {
-        1: "6dfc262750e6471f978eb0c0522bbd5e8cd24273095dd20afc76d05d3afa9414",
-        90210: "84ca83c52ffa408b715340a5a1f531959d587bf2816df3a7988ebe3a7c2a2747",
+        1: "294182578093de30f9743f184eea1746b2c25537f24a3c1be59a8de86d933871",
+        90210: "ea49060209d9846c3cd7b6040186661a04e1828eb1a75b743cdea9e374c91e96",
     }
 
     @pytest.mark.parametrize("seed", sorted(DIGESTS))

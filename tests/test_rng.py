@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellfoundry.rng import BatchStream, check_key, skip, substream
+from bellfoundry.rng import BatchStream, check_key, substream
 
 LAST_BATCH = (1 << 32) - 1
 
@@ -87,49 +87,3 @@ class TestSubstream:
             substream(0, 0, 1 << 32)
         with pytest.raises(ValueError):
             substream(0, 0, -1)
-
-
-SKIPS = [0, 1, 2, 3, 4, 5, 8, 99_999, 100_000, 100_001]
-
-
-def _philox_at(buffer_pos, has_uint32):
-    """A Philox generator two blocks in, at a chosen buffer offset and spare 32-bit word."""
-    rng = substream(13, 2, 5)
-    rng.random(8)
-    state = rng.bit_generator.state
-    state["buffer_pos"] = buffer_pos
-    state["has_uint32"], state["uinteger"] = has_uint32, 0xDEADBEEF
-    rng.bit_generator.state = state
-    return rng
-
-
-class TestSkip:
-    @pytest.mark.parametrize("has_uint32", [0, 1])
-    @pytest.mark.parametrize("buffer_pos", [0, 1, 2, 3, 4])
-    def test_philox_lands_where_drawing_does(self, buffer_pos, has_uint32):
-        for k in SKIPS:
-            skipped, drawn = _philox_at(buffer_pos, has_uint32), _philox_at(buffer_pos, has_uint32)
-            skip(skipped, k)
-            drawn.random(k)
-            ours, theirs = skipped.bit_generator.state, drawn.bit_generator.state
-            assert np.array_equal(ours["state"]["counter"], theirs["state"]["counter"]), k
-            for field in ("buffer_pos", "has_uint32", "uinteger"):
-                assert ours[field] == theirs[field], (k, field)
-            assert np.array_equal(skipped.random(9), drawn.random(9)), k
-
-    def test_other_bit_generators_draw_and_discard(self):
-        for k in SKIPS:
-            skipped, drawn = (np.random.Generator(np.random.PCG64(5)) for _ in range(2))
-            for rng in (skipped, drawn):
-                rng.integers(0, 10, dtype=np.uint32)  # leaves a spare 32-bit word
-            skip(skipped, k)
-            drawn.random(k)
-            ours, theirs = skipped.bit_generator.state, drawn.bit_generator.state
-            assert ours["state"] == theirs["state"], k
-            for field in ("has_uint32", "uinteger"):
-                assert ours[field] == theirs[field], (k, field)
-            assert np.array_equal(skipped.random(9), drawn.random(9)), k
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(ValueError, match="negative"):
-            skip(substream(1), -1)
