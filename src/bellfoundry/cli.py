@@ -421,18 +421,15 @@ def run_verify(suite: str, seed: int) -> list[Check]:
 def run_oracle(seed: int) -> list[tuple[str, float]]:
     """Brute-force oracles behind the derived expected values, as (name, value) pairs."""
     op = chsh_operator(*(Axis(t) for t in OPTIMAL_AXES), 1)
+    deltas = (math.pi / 2.0, math.pi / 4.0)
+    # one walk of the lambda grid for the overlap and both sign-rule expectations
+    (overlap,), expectations = oracles.circle_quadratures([(0.0, math.pi / 2.0)], deltas)
     values = [
         ("singlet_expectation_pi_over_4", _singlet_cell_sum(Axis(0.0), Axis(math.pi / 4.0))),
         # spectral norm of the optimal CHSH operator via numpy, straight from the array
         ("chsh_operator_norm_numpy", float(np.abs(np.linalg.eigvalsh(op)).max())),
-        (
-            "wigner_overlap_quadrature_pi_over_2",
-            oracles.half_circle_overlap_quadrature(0.0, math.pi / 2.0),
-        ),
-        *(
-            (f"sign_model_quadrature_d={d:.6f}", oracles.sign_model_expectation_quadrature(d))
-            for d in (math.pi / 2.0, math.pi / 4.0)
-        ),
+        ("wigner_overlap_quadrature_pi_over_2", overlap),
+        *((f"sign_model_quadrature_d={d:.6f}", e) for d, e in zip(deltas, expectations)),
         ("hemi_average_quadrature_pi_over_3", oracles.hemi_average_quadrature(math.pi / 3.0)),
         ("vertex_joint_chsh_max", _vertex_chsh_max()),
     ]

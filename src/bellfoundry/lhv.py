@@ -66,6 +66,16 @@ class HVModel(Protocol):
         """P(second particle yields +1/2 | lam) along axis b."""
 
 
+def _circle_angles(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n angles uniform on [0, 2*pi): ``rng.uniform(0.0, TAU, n)`` bit for bit, but faster.
+
+    uniform computes 0.0 + TAU * u from the same n doubles u, so the stream ends in the same place.
+    """
+    lam = rng.random(n)
+    lam *= TAU
+    return lam
+
+
 class DeterministicSignModel:
     """Deterministic model: lam is an angle uniform on the circle.
 
@@ -76,7 +86,7 @@ class DeterministicSignModel:
     """
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(0.0, TAU, size=n)
+        return _circle_angles(rng, n)
 
     def plus1(self, a: Axis, lam: np.ndarray) -> np.ndarray:
         return _cos_nonneg(lam, a.theta)
@@ -94,7 +104,7 @@ class ConstantResponseModel:
         self.p = p
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(0.0, TAU, size=n)
+        return _circle_angles(rng, n)
 
     def plus1(self, a: Axis, lam: np.ndarray) -> np.ndarray:
         return np.full(lam.shape, self.p)

@@ -44,31 +44,55 @@ def _lambda_blocks(n: int):
     """
     step = 2.0 * math.pi / n
     for start in range(0, n, QUADRATURE_BLOCK):
-        yield (np.arange(start, min(start + QUADRATURE_BLOCK, n)) + 0.5) * step
+        # in place: one block-sized array, not three
+        lam = np.arange(start, min(start + QUADRATURE_BLOCK, n), dtype=float)
+        lam += 0.5
+        lam *= step
+        yield lam
+
+
+def circle_quadratures(overlaps, deltas, n: int = 2_000_000) -> tuple[list[float], list[float]]:
+    """Half-circle overlaps and sign-rule expectations from one walk of the n-point grid.
+
+    Returns (overlap per (theta_a, theta_b) in `overlaps`, expectation per
+    delta in `deltas`), the values ``half_circle_overlap_quadrature`` and
+    ``sign_model_expectation_quadrature`` give.  Each block computes
+    ``np.cos(lam - theta) >= 0.0`` once per distinct angle; the sign rule's
+    particle 1 reads theta = 0.0, and lam - 0.0 is lam.
+    """
+    if n < 1:
+        raise ValueError("quadrature needs n >= 1 grid points")
+    angles = [t for pair in overlaps for t in pair] + ([0.0, *deltas] if deltas else [])
+    if not all(math.isfinite(t) for t in angles):
+        raise ValueError("quadrature angles must be finite")
+    # -0.0 keys as 0.0, which is harmless: lam > 0, so lam + 0.0 is lam
+    distinct = list(dict.fromkeys(angles))
+    inside = [0] * len(overlaps)
+    agree = [0] * len(deltas)
+    for lam in _lambda_blocks(n):
+        nonneg = {}
+        for theta in distinct:
+            c = lam - theta
+            np.cos(c, out=c)  # in place: the same doubles as np.cos(lam - theta), one array fewer
+            nonneg[theta] = c >= 0.0
+        for i, (theta_a, theta_b) in enumerate(overlaps):
+            inside[i] += int(np.count_nonzero(nonneg[theta_a] & nonneg[theta_b]))
+        # particle 1 answers +1/2 where cos(lam) >= 0, particle 2 -1/2 where
+        # cos(lam - delta) >= 0: the product is -1/4 where they agree, else +1/4
+        for i, delta in enumerate(deltas):
+            agree[i] += int(np.count_nonzero(nonneg[0.0] == nonneg[delta]))
+    # the quarters sum exactly, so each mean is 0.25 * (n - 2 * agree) / n
+    return [count / n for count in inside], [0.25 * (n - 2 * count) / n for count in agree]
 
 
 def half_circle_overlap_quadrature(theta_a: float, theta_b: float, n: int = 2_000_000) -> float:
     """Share of the circle where cos(lam - theta_a) and cos(lam - theta_b) are both >= 0."""
-    inside = 0
-    for lam in _lambda_blocks(n):
-        both = (np.cos(lam - theta_a) >= 0.0) & (np.cos(lam - theta_b) >= 0.0)
-        inside += int(np.count_nonzero(both))
-    return inside / n
+    return circle_quadratures([(theta_a, theta_b)], (), n)[0][0]
 
 
 def sign_model_expectation_quadrature(delta: float, n: int = 2_000_000) -> float:
-    """Deterministic sign-rule expectation by direct angular quadrature.
-
-    Particle 1 answers +1/2 where cos(lam) >= 0 and particle 2 answers
-    -1/2 where cos(lam - delta) >= 0, so each point scores -1/4 where the
-    two conditions agree and +1/4 where they differ.  The sum of those
-    quarters is exact, so the mean is 0.25 * (n - 2 * agree) / n.
-    """
-    agree = 0
-    for lam in _lambda_blocks(n):
-        same = (np.cos(lam) >= 0.0) == (np.cos(lam - delta) >= 0.0)
-        agree += int(np.count_nonzero(same))
-    return 0.25 * (n - 2 * agree) / n
+    """Deterministic sign-rule expectation by direct angular quadrature (see circle_quadratures)."""
+    return circle_quadratures((), [delta], n)[1][0]
 
 
 def hemisphere_conditional_fraction(n: int, rng) -> float:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bellfoundry import cli, engine
+from bellfoundry import cli, engine, oracles
 from bellfoundry.geometry import Axis, ExpectationEstimate, Hemisphere, PairCounts
 from bellfoundry.lhv import (
     ConstantResponseModel,
@@ -49,12 +49,17 @@ SPEC = SubsetSpec([(A, 1)])
          ValueError, "trial count must be positive"),
         (lambda: chsh_operator(A, B, A, B, sign_choice=0), ValueError, "sign_choice must be"),
         (lambda: cli._parse_axes("0,1,2,x"), cli.UsageError, "bad angle in --axes"),
+        (lambda: oracles.sign_model_expectation_quadrature(0.5, 0), ValueError,
+         "quadrature needs n >= 1"),
+        (lambda: oracles.half_circle_overlap_quadrature(math.nan, 0.0), ValueError,
+         "quadrature angles must be finite"),
     ],
     ids=[
         "run_counts_trials", "pair_counts_negative", "estimate_magnitude", "constant_p",
         "model_expectation_n", "chsh_value_sign", "subset_spec_empty", "mc_needs_n",
         "unknown_mode", "superposition_term", "superposition_finite", "joint_distribution_finite",
-        "stochastic_defect_n", "chsh_operator_sign", "parse_axes",
+        "stochastic_defect_n", "chsh_operator_sign", "parse_axes", "quadrature_n",
+        "quadrature_angle",
     ],
 )
 def test_guard_raises(call, error, message):

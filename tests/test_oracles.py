@@ -6,6 +6,7 @@ import pytest
 from bellfoundry.oracles import (
     QUADRATURE_BLOCK,
     _lambda_blocks,
+    circle_quadratures,
     half_circle_overlap_quadrature,
     sign_model_expectation_quadrature,
 )
@@ -78,3 +79,43 @@ class TestBlockedQuadrature:
                 delta, n
             )
             assert half_circle_overlap_quadrature(0.0, delta, n) == whole_grid_overlap(0.0, delta, n)
+
+
+# the oracle's own angles, repeats, and -0.0, which must read as 0.0
+FUSED_OVERLAPS = [
+    (0.0, math.pi / 2.0), (-0.0, math.pi / 2.0), (math.pi / 4.0, math.pi / 4.0), (2.5, -1.0)
+]
+FUSED_DELTAS = [math.pi / 2.0, math.pi / 4.0, math.pi / 2.0, -0.0, 2.5]
+
+
+class TestFusedWalk:
+    """One walk for every overlap and expectation changes no bit of any of them."""
+
+    @pytest.mark.parametrize("n", [1, QUADRATURE_BLOCK - 1, QUADRATURE_BLOCK + 1, 2_000_000])
+    def test_equals_single_and_whole_grid(self, n):
+        overlaps, expectations = circle_quadratures(FUSED_OVERLAPS, FUSED_DELTAS, n)
+        for (theta_a, theta_b), overlap in zip(FUSED_OVERLAPS, overlaps, strict=True):
+            assert overlap == half_circle_overlap_quadrature(theta_a, theta_b, n)
+            assert overlap == whole_grid_overlap(theta_a, theta_b, n)
+        for delta, expectation in zip(FUSED_DELTAS, expectations, strict=True):
+            assert expectation == sign_model_expectation_quadrature(delta, n)
+            assert expectation == whole_grid_sign_expectation(delta, n)
+
+    def test_each_distinct_cosine_once_per_block(self, monkeypatch):
+        calls = []
+        cos = np.cos
+        monkeypatch.setattr(np, "cos", lambda *args, **kw: calls.append(1) or cos(*args, **kw))
+        # the oracle's three quadratures read three distinct angles (0, pi/2, pi/4) in 3 blocks
+        n = 2 * QUADRATURE_BLOCK + 1
+        circle_quadratures([(0.0, math.pi / 2.0)], [math.pi / 2.0, math.pi / 4.0], n)
+        assert len(calls) == 3 * 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_raises(self, bad):
+        # filterwarnings = error: a RuntimeWarning from np.cos would fail this too
+        for call in (
+            lambda: half_circle_overlap_quadrature(0.0, bad, 10),
+            lambda: sign_model_expectation_quadrature(bad, 10),
+        ):
+            with pytest.raises(ValueError, match="quadrature angles must be finite"):
+                call()
