@@ -233,8 +233,8 @@ class ExpectationEstimate:
     std_error: float
 
     def __post_init__(self):
-        if abs(self.value) > V_MAX**2 + 1e-15:
-            raise ValueError("expectation magnitude exceeds V_MAX**2")
+        if not abs(self.value) <= V_MAX**2 + 1e-15:
+            raise ValueError("expectation magnitude exceeds V_MAX**2 or is NaN")
 
 
 def empirical_expectation(counts: PairCounts) -> ExpectationEstimate:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .geometry import (
     Axis,
-    BELL_BOUND,
     ExpectationEstimate,
     Hemisphere,
     PairCounts,
@@ -162,26 +161,19 @@ def sign_model_expectation_analytic(a: Axis, b: Axis) -> float:
     return -V_MAX**2 * (1.0 - 2.0 * d / math.pi)
 
 
+def _chsh(e_ab, e_abp, e_apb, e_apbp, s):
+    """|E(a,b) - s E(a,b')| + |E(a',b) + s E(a',b')| for s = +-1, elementwise."""
+    return abs(e_ab - s * e_abp) + abs(e_apb + s * e_apbp)
+
+
 def chsh_value(e_ab: float, e_abp: float, e_apb: float, e_apbp: float, sign_choice: int = 1) -> float:
     """|E(a,b) -+ E(a,b')| + |E(a',b) +- E(a',b')| for one sign pattern."""
     if sign_choice not in (1, -1):
         raise ValueError("sign_choice must be +1 or -1")
     for e in (e_ab, e_abp, e_apb, e_apbp):
-        if abs(e) > V_MAX**2 + 1e-12:
-            raise ValueError("expectation magnitude exceeds V_MAX**2")
-    return abs(e_ab - sign_choice * e_abp) + abs(e_apb + sign_choice * e_apbp)
-
-
-@dataclass(frozen=True)
-class BellCheckReport:
-    """Worst-case CHSH margin for a model over an axis grid."""
-
-    worst_value: float
-    tolerance: float
-
-    @property
-    def holds(self) -> bool:
-        return self.worst_value <= BELL_BOUND + self.tolerance
+        if not abs(e) <= V_MAX**2 + 1e-12:
+            raise ValueError("expectation magnitude exceeds V_MAX**2 or is NaN")
+    return _chsh(e_ab, e_abp, e_apb, e_apbp, sign_choice)
 
 
 def _worst_chsh(values: np.ndarray, sq_errors: np.ndarray) -> tuple:
@@ -193,15 +185,15 @@ def _worst_chsh(values: np.ndarray, sq_errors: np.ndarray) -> tuple:
     ``chsh_value`` would, with tolerance five combined standard errors; a
     tie goes to the first term.
     """
-    if (np.abs(values) > V_MAX**2 + 1e-12).any():
-        raise ValueError("expectation magnitude exceeds V_MAX**2")
+    if not (np.abs(values) <= V_MAX**2 + 1e-12).all():
+        raise ValueError("expectation magnitude exceeds V_MAX**2 or is NaN")
     # axes (a, a', b, b'): E(a, b), E(a, b'), E(a', b), E(a', b')
     e0, e1 = values[:, None, :, None], values[:, None, None, :]
     e2, e3 = values[None, :, :, None], values[None, :, None, :]
     s0, s1 = sq_errors[:, None, :, None], sq_errors[:, None, None, :]
     s2, s3 = sq_errors[None, :, :, None], sq_errors[None, :, None, :]
     tol = 5.0 * np.sqrt(((s0 + s1) + s2) + s3)
-    value = np.stack([abs(e0 - e1) + abs(e2 + e3), abs(e0 + e1) + abs(e2 - e3)], axis=-1)
+    value = np.stack([_chsh(e0, e1, e2, e3, 1), _chsh(e0, e1, e2, e3, -1)], axis=-1)
     worst = np.unravel_index(np.argmax(value - tol[..., None]), value.shape)
     return float(value[worst]), float(tol[worst[:-1]])
 
@@ -211,29 +203,24 @@ def check_bell_theorem(
     axis_grid: Sequence[Axis],
     n: int,
     rng: np.random.Generator,
-) -> BellCheckReport:
-    """CHSH over every grid quadruple and both sign choices stays bounded.
+) -> tuple[float, float]:
+    """(worst_value, tolerance) of CHSH over every grid quadruple and both sign choices.
 
-    Expectations are estimated once per grid pair and reused across
-    quadruples (a repeated axis reads the last estimate of its angle pair);
-    the statistical tolerance is five combined standard errors.
+    Expectations are estimated once per pair of grid positions, so a
+    repeated axis gets its own estimate, and reused across quadruples; the
+    statistical tolerance is five combined standard errors.
     """
     grid = list(axis_grid)
     if not grid:
         raise ValueError("the axis grid is empty: there is no quadruple to check")
     if n < 2:
         raise ValueError("the tolerance needs at least 2 trials per pair")
-    estimates = {}
-    for a in grid:
-        for b in grid:
-            estimates[(a.theta, b.theta)] = model_expectation(model, a, b, n, rng)
-    table = [[estimates[(a.theta, b.theta)] for b in grid] for a in grid]
-    worst_value, worst_tol = _worst_chsh(
+    table = [[model_expectation(model, a, b, n, rng) for b in grid] for a in grid]
+    return _worst_chsh(
         np.array([[e.value for e in row] for row in table]),
         # each squared by Python's **, which need not round as np.square does
         np.array([[e.std_error**2 for e in row] for row in table]),
     )
-    return BellCheckReport(worst_value=worst_value, tolerance=worst_tol)
 
 
 def joint_distribution_chsh(f: np.ndarray) -> float | np.ndarray:
@@ -259,8 +246,8 @@ def joint_distribution_chsh(f: np.ndarray) -> float | np.ndarray:
     e_apb = np.einsum("j,k,...ijkl->...", v, v, f)
     e_apbp = np.einsum("j,l,...ijkl->...", v, v, f)
     value = np.maximum(
-        np.abs(e_ab - e_abp) + np.abs(e_apb + e_apbp),
-        np.abs(e_ab + e_abp) + np.abs(e_apb - e_apbp),
+        _chsh(e_ab, e_abp, e_apb, e_apbp, 1),
+        _chsh(e_ab, e_abp, e_apb, e_apbp, -1),
     )
     return float(value) if f.ndim == 4 else value
 

@@ -121,6 +121,8 @@ def predictions_equal(
     tolerance: float = 1e-10,
 ) -> bool:
     """True iff both fields predict the same P(+1/2), and so the same statistics, on every axis."""
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError("tolerance must be finite and nonnegative")
     return not any(
         abs(superposition_probabilities(lhs, b) - superposition_probabilities(rhs, b)) > tolerance
         for b in axis_grid

@@ -20,6 +20,10 @@ def hemi_average_quadrature(offset: float, order: int = 120) -> float:
     integral runs over polar angle [0, pi/2] with Gauss-Legendre nodes and
     a trapezoid azimuth grid.
     """
+    if not math.isfinite(offset):
+        raise ValueError("quadrature offset must be finite")
+    if order < 1:
+        raise ValueError("quadrature needs order >= 1")
     nodes, weights = np.polynomial.legendre.leggauss(order)
     gamma = (nodes + 1.0) * (math.pi / 4.0)  # [0, pi/2]
     w_gamma = weights * (math.pi / 4.0)

@@ -115,8 +115,8 @@ def test_criterion_3_bell_bound():
 
     # MC mode over a grid, within statistical tolerance
     grid = [Axis(k * math.pi / 4.0) for k in range(8)]
-    report = check_bell_theorem(DeterministicSignModel(), grid, 100_000, substream(2026))
-    ok &= report.holds
+    value, tolerance = check_bell_theorem(DeterministicSignModel(), grid, 100_000, substream(2026))
+    ok &= value <= BELL_BOUND + tolerance
 
     # the 16 deterministic vertex joint distributions
     worst_vertex = max(joint_distribution_chsh(f) for f in vertex_distributions())

@@ -17,12 +17,13 @@ from bellfoundry.lhv import (
     stochastic_defect,
     wigner_measure,
 )
-from bellfoundry.model2 import FieldSuperposition
+from bellfoundry.model2 import FieldSuperposition, predictions_equal
 from bellfoundry.quantum import chsh_operator
 from bellfoundry.rng import substream
 
 A, B = Axis(0.0), Axis(math.pi / 4)
 SPEC = SubsetSpec([(A, 1)])
+F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
 
 
 @pytest.mark.parametrize(
@@ -53,13 +54,24 @@ SPEC = SubsetSpec([(A, 1)])
          "quadrature needs n >= 1"),
         (lambda: oracles.half_circle_overlap_quadrature(math.nan, 0.0), ValueError,
          "quadrature angles must be finite"),
+        (lambda: chsh_value(math.nan, 0.0, 0.0, 0.0), ValueError, "or is NaN"),
+        (lambda: ExpectationEstimate(math.nan, 0.0), ValueError, "or is NaN"),
+        (lambda: oracles.hemi_average_quadrature(math.nan), ValueError,
+         "quadrature offset must be finite"),
+        (lambda: oracles.hemi_average_quadrature(math.inf), ValueError,
+         "quadrature offset must be finite"),
+        (lambda: oracles.hemi_average_quadrature(0.5, order=0), ValueError,
+         "quadrature needs order >= 1"),
+        (lambda: predictions_equal(F, F, [A], tolerance=math.nan), ValueError,
+         "tolerance must be finite and nonnegative"),
     ],
     ids=[
         "run_counts_trials", "pair_counts_negative", "estimate_magnitude", "constant_p",
         "model_expectation_n", "chsh_value_sign", "subset_spec_empty", "mc_needs_n",
         "unknown_mode", "superposition_term", "superposition_finite", "joint_distribution_finite",
         "stochastic_defect_n", "chsh_operator_sign", "parse_axes", "quadrature_n",
-        "quadrature_angle",
+        "quadrature_angle", "chsh_value_nan", "estimate_nan", "hemi_offset_nan",
+        "hemi_offset_inf", "hemi_order", "predictions_tolerance",
     ],
 )
 def test_guard_raises(call, error, message):
