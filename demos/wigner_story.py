@@ -12,7 +12,6 @@ import math
 from bellfoundry.geometry import Axis
 from bellfoundry.lhv import (
     DeterministicSignModel,
-    SubsetSpec,
     quantum_wigner_violation,
     wigner_inequality_check,
     wigner_measure,
@@ -27,7 +26,7 @@ for label, clauses in [
     ("+a & +b(90d)",  [(Axis(0.0), 1), (Axis(math.pi / 2), 1)]),
     ("+a & -a",       [(Axis(0.0), 1), (Axis(0.0), -1)]),
 ]:
-    print(f"  M({label:12s}) = {wigner_measure(model, SubsetSpec(clauses)):.4f}")
+    print(f"  M({label:12s}) = {wigner_measure(model, clauses):.4f}")
 
 print()
 rng = substream(3)

@@ -12,7 +12,6 @@ P(+1/2 | lam) as 0 or 1; only such a mask defines the Wigner set measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -272,24 +271,6 @@ def stochastic_defect(model: HVModel, a: Axis, n: int, rng: np.random.Generator)
     return float((p1 * p2 + (1.0 - p1) * (1.0 - p2)).mean())
 
 
-@dataclass(frozen=True)
-class SubsetSpec:
-    """An intersection of outcome subsets, e.g. (+a) & (-a').
-
-    Built from (axis, sign) pairs, each kept as a Hemisphere clause; lam
-    belongs to the clause when the model's deterministic particle 1
-    answers sign/2 along the clause's axis.
-    """
-
-    clauses: tuple
-
-    def __init__(self, clauses):
-        clauses = tuple(Hemisphere(axis, sign) for axis, sign in clauses)
-        if not clauses:
-            raise ValueError("subset spec needs at least one clause")
-        object.__setattr__(self, "clauses", clauses)
-
-
 def _arc_intersection_length(clauses) -> float:
     """Length of the intersection of half-circle arcs, one per clause.
 
@@ -309,29 +290,28 @@ def _arc_intersection_length(clauses) -> float:
     return hi - lo
 
 
-def _plus_mask(model: HVModel, axis: Axis, lam: np.ndarray) -> np.ndarray:
-    """Draws on which particle 1 answers +1/2 along axis.
-
-    A deterministic model states P(+1/2 | lam) as a boolean mask, which is
-    returned as it is; a float response is a stochastic model's, for which
-    no subset of lam has a measure.
-    """
-    p = model.plus1(axis, lam)
-    if p.dtype != bool:
-        raise ValueError("measure undefined for stochastic models")
-    return p
-
-
-def _mc_measures(model: HVModel, specs, n: int, rng: np.random.Generator | None) -> list:
-    """MC measures of several subsets on one sample of n draws of lam, one + mask per axis."""
+def _measures(model: HVModel, subsets, mode: str, n: int, rng: np.random.Generator | None) -> list:
+    """``wigner_measure`` of several clause lists; MC mode scores all on one sample of lam."""
+    subsets = [[Hemisphere(axis, sign) for axis, sign in clauses] for clauses in subsets]
+    if not all(subsets):
+        raise ValueError("subset spec needs at least one clause")
+    if mode == "analytic":
+        if not isinstance(model, DeterministicSignModel):
+            raise ValueError("analytic measure supported for DeterministicSignModel only")
+        return [_arc_intersection_length(clauses) / TAU for clauses in subsets]
+    if mode != "mc":
+        raise ValueError(f"unknown mode {mode!r}")
     if rng is None or n <= 0:
         raise ValueError("MC mode needs a positive n and an rng")
     lam = model.sample(rng, n)
-    axes = dict.fromkeys(clause.axis for spec in specs for clause in spec.clauses)
-    plus = {axis: _plus_mask(model, axis, lam) for axis in axes}
+    plus = {}
+    for axis in dict.fromkeys(clause.axis for clauses in subsets for clause in clauses):
+        plus[axis] = model.plus1(axis, lam)
+        # a float P(+1/2 | lam) is a stochastic model's: no subset of lam has a measure
+        if plus[axis].dtype != bool:
+            raise ValueError("measure undefined for stochastic models")
     measures = []
-    for spec in specs:
-        first, *rest = spec.clauses
+    for first, *rest in subsets:
         member = plus[first.axis] if first.sign > 0 else ~plus[first.axis]
         for clause in rest:
             mask = plus[clause.axis]
@@ -344,24 +324,19 @@ def _mc_measures(model: HVModel, specs, n: int, rng: np.random.Generator | None)
 
 def wigner_measure(
     model: HVModel,
-    spec: SubsetSpec,
+    clauses: Sequence[tuple[Axis, int]],
     mode: str = "analytic",
     n: int = 0,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Measure of the intersection subset defined by a deterministic model.
+    """Measure of the lam on which particle 1 answers sign/2 along every (axis, sign) clause.
 
-    Analytic mode is the exact half-circle arc overlap, supported for
-    DeterministicSignModel only; MC mode estimates membership frequency by
-    sampling lam from any deterministic model.
+    [(a, 1), (ap, -1)] is the subset (+a) & (-a').  Analytic mode is the
+    exact half-circle arc overlap, supported for DeterministicSignModel
+    only; MC mode estimates membership frequency on n draws of lam from
+    any deterministic model.
     """
-    if mode == "analytic":
-        if not isinstance(model, DeterministicSignModel):
-            raise ValueError("analytic measure supported for DeterministicSignModel only")
-        return _arc_intersection_length(spec.clauses) / TAU
-    if mode == "mc":
-        return _mc_measures(model, [spec], n, rng)[0]
-    raise ValueError(f"unknown mode {mode!r}")
+    return _measures(model, [clauses], mode, n, rng)[0]
 
 
 def wigner_inequality_check(
@@ -382,15 +357,10 @@ def wigner_inequality_check(
     there the inequality holds exactly, up to the rounding of the division
     by n.
     """
-    specs = [
-        SubsetSpec([(ap, 1), (b, 1)]),
-        SubsetSpec([(a, 1), (b, 1)]),
-        SubsetSpec([(a, 1), (ap, -1)]),
-    ]
-    if mode == "mc":
-        lhs, m_ab, m_aap = _mc_measures(model, specs, n, rng)
-    else:
-        lhs, m_ab, m_aap = (wigner_measure(model, spec, mode) for spec in specs)
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError("tolerance must be finite and nonnegative")
+    subsets = [[(ap, 1), (b, 1)], [(a, 1), (b, 1)], [(a, 1), (ap, -1)]]
+    lhs, m_ab, m_aap = _measures(model, subsets, mode, n, rng)
     rhs = m_ab - m_aap
     return lhs, rhs, lhs >= rhs - tolerance
 

@@ -123,9 +123,12 @@ def predictions_equal(
     """True iff both fields predict the same P(+1/2), and so the same statistics, on every axis."""
     if not 0.0 <= tolerance < math.inf:
         raise ValueError("tolerance must be finite and nonnegative")
+    grid = list(axis_grid)
+    if not grid:
+        raise ValueError("the axis grid is empty: there is no axis to compare")
     return not any(
         abs(superposition_probabilities(lhs, b) - superposition_probabilities(rhs, b)) > tolerance
-        for b in axis_grid
+        for b in grid
     )
 
 

@@ -105,6 +105,8 @@ def hemisphere_conditional_fraction(n: int, rng) -> float:
     Caller supplies the axis geometry by rotating afterwards; this uses
     a = z and b at pi/4 in the x-z plane as the canonical probe.
     """
+    if n < 1:
+        raise ValueError("the conditional fraction needs n >= 1 samples")
     v = rng.standard_normal((n, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     in_a = v[:, 2] >= 0.0

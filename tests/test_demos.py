@@ -29,9 +29,11 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("demo", sorted(GOLDEN_DEMO_SHA256))
 def test_demo_stdout_sha256(demo):
-    env = {**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")}
+    # pytest's filterwarnings does not reach a subprocess: turn its warnings into errors here
+    env = {**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src"), "PYTHONWARNINGS": "error"}
     done = subprocess.run(
         [sys.executable, os.path.join("demos", demo)],
         cwd=REPO_ROOT, env=env, capture_output=True, timeout=120, check=True,
     )
+    assert done.stderr == b""
     assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN_DEMO_SHA256[demo]

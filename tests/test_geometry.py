@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellfoundry import geometry, model1, model2
-from bellfoundry.lhv import SubsetSpec
+from bellfoundry.lhv import DeterministicSignModel, wigner_measure
 from bellfoundry.geometry import (
     Axis,
     Hemisphere,
@@ -76,13 +76,13 @@ class TestHemisphere:
             Hemisphere(axis, 1)
 
     @pytest.mark.parametrize("axis", [0.3, None, "0.3", (0.3,)])
-    def test_subset_spec_rejects_non_axis(self, axis):
+    def test_wigner_measure_rejects_non_axis(self, axis):
         with pytest.raises(ValueError, match="must be an Axis"):
-            SubsetSpec([(Axis(0.0), 1), (axis, -1)])
+            wigner_measure(DeterministicSignModel(), [(Axis(0.0), 1), (axis, -1)])
 
-    def test_subset_spec_rejects_fractional_sign(self):
+    def test_wigner_measure_rejects_fractional_sign(self):
         with pytest.raises(ValueError):
-            SubsetSpec([(Axis(0.0), 1.5)])
+            wigner_measure(DeterministicSignModel(), [(Axis(0.0), 1.5)])
 
     def test_poles_and_boundary(self):
         plus, minus = Hemisphere(Axis(0.0), 1), Hemisphere(Axis(0.0), -1)

@@ -10,11 +10,11 @@ from bellfoundry.geometry import Axis, ExpectationEstimate, Hemisphere, PairCoun
 from bellfoundry.lhv import (
     ConstantResponseModel,
     DeterministicSignModel,
-    SubsetSpec,
     chsh_value,
     joint_distribution_chsh,
     model_expectation,
     stochastic_defect,
+    wigner_inequality_check,
     wigner_measure,
 )
 from bellfoundry.model2 import FieldSuperposition, predictions_equal
@@ -22,7 +22,7 @@ from bellfoundry.quantum import chsh_operator
 from bellfoundry.rng import substream
 
 A, B = Axis(0.0), Axis(math.pi / 4)
-SPEC = SubsetSpec([(A, 1)])
+SPEC = [(A, 1)]
 F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
 
 
@@ -37,7 +37,8 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
         (lambda: model_expectation(DeterministicSignModel(), A, B, 0, substream(1)),
          ValueError, "trial count must be positive"),
         (lambda: chsh_value(0.0, 0.0, 0.0, 0.0, sign_choice=0), ValueError, "sign_choice must be"),
-        (lambda: SubsetSpec([]), ValueError, "needs at least one clause"),
+        (lambda: wigner_measure(DeterministicSignModel(), []), ValueError,
+         "needs at least one clause"),
         (lambda: wigner_measure(DeterministicSignModel(), SPEC, "mc", 0, substream(1)),
          ValueError, "MC mode needs a positive n"),
         (lambda: wigner_measure(DeterministicSignModel(), SPEC, "exact"), ValueError, "unknown mode"),
@@ -64,6 +65,15 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
          "quadrature needs order >= 1"),
         (lambda: predictions_equal(F, F, [A], tolerance=math.nan), ValueError,
          "tolerance must be finite and nonnegative"),
+        (lambda: wigner_inequality_check(DeterministicSignModel(), A, B, A, tolerance=math.nan),
+         ValueError, "tolerance must be finite and nonnegative"),
+        (lambda: wigner_inequality_check(DeterministicSignModel(), A, B, A, tolerance=-1.0),
+         ValueError, "tolerance must be finite and nonnegative"),
+        (lambda: wigner_inequality_check(DeterministicSignModel(), A, B, A, mode="exact"),
+         ValueError, "unknown mode"),
+        (lambda: oracles.hemisphere_conditional_fraction(0, substream(1)), ValueError,
+         "needs n >= 1 samples"),
+        (lambda: predictions_equal(F, F, []), ValueError, "the axis grid is empty"),
     ],
     ids=[
         "run_counts_trials", "pair_counts_negative", "estimate_magnitude", "constant_p",
@@ -71,7 +81,9 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
         "unknown_mode", "superposition_term", "superposition_finite", "joint_distribution_finite",
         "stochastic_defect_n", "chsh_operator_sign", "parse_axes", "quadrature_n",
         "quadrature_angle", "chsh_value_nan", "estimate_nan", "hemi_offset_nan",
-        "hemi_offset_inf", "hemi_order", "predictions_tolerance",
+        "hemi_offset_inf", "hemi_order", "predictions_tolerance", "wigner_tolerance_nan",
+        "wigner_tolerance_negative", "wigner_check_unknown_mode", "conditional_fraction_n",
+        "predictions_empty_grid",
     ],
 )
 def test_guard_raises(call, error, message):

@@ -21,7 +21,6 @@ from bellfoundry.lhv import (
     _worst_chsh,
     ConstantResponseModel,
     DeterministicSignModel,
-    SubsetSpec,
     check_bell_theorem,
     chsh_value,
     joint_distribution_chsh,
@@ -466,18 +465,18 @@ class TestStochasticDefect:
 class TestWignerMeasures:
     def test_single_clause_half(self):
         model = DeterministicSignModel()
-        assert wigner_measure(model, SubsetSpec([(Axis(0.7), 1)])) == pytest.approx(0.5)
+        assert wigner_measure(model, [(Axis(0.7), 1)]) == pytest.approx(0.5)
 
     def test_two_clause_overlap(self):
         # oracle: angular quadrature of the half-circle overlap
         model = DeterministicSignModel()
         a, b = Axis(0.0), Axis(math.pi / 2)
-        analytic = wigner_measure(model, SubsetSpec([(a, 1), (b, 1)]))
+        analytic = wigner_measure(model, [(a, 1), (b, 1)])
         assert analytic == pytest.approx(0.25)
         assert analytic == pytest.approx(
             half_circle_overlap_quadrature(a.theta, b.theta), abs=1e-5
         )
-        mc = wigner_measure(model, SubsetSpec([(a, 1), (b, 1)]), "mc", 1_000_000, substream(42))
+        mc = wigner_measure(model, [(a, 1), (b, 1)], "mc", 1_000_000, substream(42))
         assert abs(mc - analytic) < 5 * measure_std_error(analytic, 1_000_000)
 
     def test_additivity(self):
@@ -485,9 +484,9 @@ class TestWignerMeasures:
         rng = substream(43)
         for _ in range(25):
             a, ap = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
-            total = wigner_measure(model, SubsetSpec([(a, 1)]))
-            split = wigner_measure(model, SubsetSpec([(a, 1), (ap, 1)])) + wigner_measure(
-                model, SubsetSpec([(a, 1), (ap, -1)])
+            total = wigner_measure(model, [(a, 1)])
+            split = wigner_measure(model, [(a, 1), (ap, 1)]) + wigner_measure(
+                model, [(a, 1), (ap, -1)]
             )
             assert split == pytest.approx(total, abs=1e-12)
 
@@ -496,15 +495,15 @@ class TestWignerMeasures:
         rng = substream(44)
         for _ in range(25):
             a, b, c = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=3))
-            two = wigner_measure(model, SubsetSpec([(a, 1), (b, 1)]))
-            three = wigner_measure(model, SubsetSpec([(a, 1), (b, 1), (c, 1)]))
+            two = wigner_measure(model, [(a, 1), (b, 1)])
+            three = wigner_measure(model, [(a, 1), (b, 1), (c, 1)])
             assert 0.0 <= three <= two <= 1.0
 
     def test_stochastic_model_rejected(self):
         with pytest.raises(ValueError, match="measure undefined"):
             wigner_measure(
                 ConstantResponseModel(0.5),
-                SubsetSpec([(Axis(0.0), 1)]),
+                [(Axis(0.0), 1)],
                 "mc",
                 1000,
                 substream(45),
@@ -524,7 +523,7 @@ class TestWignerMeasures:
 
         with pytest.raises(ValueError, match="measure undefined"):
             wigner_measure(
-                LateStochasticModel(), SubsetSpec([(Axis(0.0), 1)]), "mc", 4096, substream(47)
+                LateStochasticModel(), [(Axis(0.0), 1)], "mc", 4096, substream(47)
             )
 
     def test_float_response_is_refused_even_at_zero_and_one(self):
@@ -535,11 +534,11 @@ class TestWignerMeasures:
                 return super().plus1(a, lam).astype(float)
 
         with pytest.raises(ValueError, match="measure undefined"):
-            wigner_measure(FloatSignModel(), SubsetSpec([(Axis(0.0), 1)]), "mc", 1000, substream(48))
+            wigner_measure(FloatSignModel(), [(Axis(0.0), 1)], "mc", 1000, substream(48))
 
     def test_analytic_mode_requires_builtin(self):
         with pytest.raises(ValueError):
-            wigner_measure(ConstantResponseModel(0.5), SubsetSpec([(Axis(0.0), 1)]))
+            wigner_measure(ConstantResponseModel(0.5), [(Axis(0.0), 1)])
 
 
 class TestWignerInequality:
@@ -625,7 +624,7 @@ class TestWignerMcEqualsOnesMean:
                 member = np.ones(lam.size, dtype=bool)
                 for axis, sign in clauses:
                     member &= plus[axis] if sign > 0 else ~plus[axis]
-                mc = wigner_measure(model, SubsetSpec(clauses), "mc", 5_000, substream(57, 0, k))
+                mc = wigner_measure(model, clauses, "mc", 5_000, substream(57, 0, k))
                 assert mc == float(member.mean()), (k, clauses)
 
 

@@ -15,7 +15,6 @@ from bellfoundry.geometry import (
 )
 from bellfoundry.lhv import (
     DeterministicSignModel,
-    SubsetSpec,
     chsh_value,
     sign_model_expectation_analytic,
     wigner_inequality_check,
@@ -112,7 +111,7 @@ def test_wigner_inequality_always_holds_deterministic(ta, tap, tb):
 @given(angles, angles, st.sampled_from([1, -1]), st.sampled_from([1, -1]))
 def test_wigner_measure_in_unit_interval(t1, t2, s1, s2):
     m = wigner_measure(
-        DeterministicSignModel(), SubsetSpec([(Axis(t1), s1), (Axis(t2), s2)])
+        DeterministicSignModel(), [(Axis(t1), s1), (Axis(t2), s2)]
     )
     assert 0.0 <= m <= 0.5 + 1e-15
 
