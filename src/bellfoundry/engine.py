@@ -59,32 +59,25 @@ def run_counts(
     for _, _, stream in pairs:
         check_key(seed, stream, 0, n_batches - 1)
     n_tasks = n_batches * len(pairs)
-    workers = min(threads, n_tasks)
+    workers = max(1, min(threads, n_tasks))
 
-    def run_range(lo: int, hi: int) -> dict[int, PairCounts]:
+    def run_range(w: int) -> list[tuple[int, int, int, int]]:
         keyed = BatchStream(seed)
-        sums = {}
-        for task in range(lo, hi):
+        sums = [(0, 0, 0, 0)] * len(pairs)
+        for task in range(w * n_tasks // workers, (w + 1) * n_tasks // workers):
             i, k = divmod(task, n_batches)
             a, b, stream = pairs[i]
-            size = min(BATCH_SIZE, trials - k * BATCH_SIZE)
-            c = runner.sample_counts(keyed.at(stream, k), a, b, size)
-            s = sums.get(i, (0, 0, 0, 0))
+            c = runner.sample_counts(keyed.at(stream, k), a, b, min(BATCH_SIZE, trials - k * BATCH_SIZE))
+            s = sums[i]
             sums[i] = (s[0] + c.n_pp, s[1] + c.n_pm, s[2] + c.n_mp, s[3] + c.n_mm)
-        return {i: PairCounts(*s) for i, s in sums.items()}
+        return sums
 
-    if workers <= 1:
-        results = [run_range(0, n_tasks)]
+    if workers == 1:
+        results = [run_range(0)]
     else:
-        # worker w runs tasks [w * n_tasks // workers, (w + 1) * n_tasks // workers)
-        bounds = [w * n_tasks // workers for w in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_range, bounds, bounds[1:]))
-    totals = {}
-    for sums in results:
-        for i, counts in sums.items():
-            totals[i] = totals[i] + counts if i in totals else counts
-    return [totals[i] for i in range(len(pairs))]
+            results = list(pool.map(run_range, range(workers)))
+    return [PairCounts(*map(sum, zip(*per_pair))) for per_pair in zip(*results)]
 
 
 def run_pair_counts(

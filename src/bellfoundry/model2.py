@@ -41,8 +41,6 @@ from .geometry import (
     wrap_delta,
 )
 
-SPHERE_RADIUS = 1.0
-
 
 @dataclass(frozen=True)
 class FieldSuperposition:
@@ -66,7 +64,7 @@ def field_value(f: Hemisphere, r: np.ndarray) -> float:
     if not f.contains(r):
         return 0.0
     center = Axis(f.effective_angle)
-    return float(r @ center.unit_vector) / (math.pi * SPHERE_RADIUS**2)
+    return float(r @ center.unit_vector) / math.pi
 
 
 def hemi_average(field_axis: Axis, average_hemisphere: Hemisphere) -> float:
@@ -114,20 +112,13 @@ def superposition_probabilities(f: FieldSuperposition, b: Axis) -> float:
     return amp_plus**2 / norm
 
 
-def predictions_equal(
-    lhs: FieldSuperposition,
-    rhs: FieldSuperposition,
-    axis_grid,
-    tolerance: float = 1e-10,
-) -> bool:
-    """True iff both fields predict the same P(+1/2), and so the same statistics, on every axis."""
-    if not 0.0 <= tolerance < math.inf:
-        raise ValueError("tolerance must be finite and nonnegative")
+def predictions_equal(lhs: FieldSuperposition, rhs: FieldSuperposition, axis_grid) -> bool:
+    """True iff both fields' P(+1/2), and so their statistics, agree to 1e-10 on every axis."""
     grid = list(axis_grid)
     if not grid:
         raise ValueError("the axis grid is empty: there is no axis to compare")
     return not any(
-        abs(superposition_probabilities(lhs, b) - superposition_probabilities(rhs, b)) > tolerance
+        abs(superposition_probabilities(lhs, b) - superposition_probabilities(rhs, b)) > 1e-10
         for b in grid
     )
 

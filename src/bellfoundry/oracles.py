@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 
-def hemi_average_quadrature(offset: float, order: int = 120) -> float:
+def hemi_average_quadrature(offset: float) -> float:
     """Mean of the projection field (r.b)/pi over the +a hemisphere.
 
     a sits on the z axis, b at `offset` from it in the x-z plane; the
@@ -22,8 +22,7 @@ def hemi_average_quadrature(offset: float, order: int = 120) -> float:
     """
     if not math.isfinite(offset):
         raise ValueError("quadrature offset must be finite")
-    if order < 1:
-        raise ValueError("quadrature needs order >= 1")
+    order = 120  # Gauss-Legendre nodes; the azimuth grid has 2 * order points
     nodes, weights = np.polynomial.legendre.leggauss(order)
     gamma = (nodes + 1.0) * (math.pi / 4.0)  # [0, pi/2]
     w_gamma = weights * (math.pi / 4.0)
@@ -112,4 +111,7 @@ def hemisphere_conditional_fraction(n: int, rng) -> float:
     in_a = v[:, 2] >= 0.0
     b = np.array([math.sin(math.pi / 4.0), 0.0, math.cos(math.pi / 4.0)])
     in_b = v @ b >= 0.0
-    return float((in_a & in_b).sum() / in_a.sum())
+    n_a = in_a.sum()
+    if n_a == 0:
+        raise ValueError("no sample in the +a hemisphere: the conditional fraction is undefined")
+    return float((in_a & in_b).sum() / n_a)

@@ -178,7 +178,7 @@ def test_criterion_7_equivalence_classes():
         direct = FieldSuperposition([(1.0, Hemisphere(a, 1))])
         cp, cm = decompose_field(Hemisphere(a, 1), u)
         rewritten = FieldSuperposition([(cp, Hemisphere(u, 1)), (cm, Hemisphere(u, -1))])
-        ok &= predictions_equal(direct, rewritten, grid, tolerance=1e-10)
+        ok &= predictions_equal(direct, rewritten, grid)
     c, b = Axis(0.4), Axis(1.7)
     labels = [Axis(k * 2.0 * math.pi / 16) for k in range(16)]
     for o1, o2 in itertools.product((1, -1), repeat=2):

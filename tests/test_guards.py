@@ -61,10 +61,6 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
          "quadrature offset must be finite"),
         (lambda: oracles.hemi_average_quadrature(math.inf), ValueError,
          "quadrature offset must be finite"),
-        (lambda: oracles.hemi_average_quadrature(0.5, order=0), ValueError,
-         "quadrature needs order >= 1"),
-        (lambda: predictions_equal(F, F, [A], tolerance=math.nan), ValueError,
-         "tolerance must be finite and nonnegative"),
         (lambda: wigner_inequality_check(DeterministicSignModel(), A, B, A, tolerance=math.nan),
          ValueError, "tolerance must be finite and nonnegative"),
         (lambda: wigner_inequality_check(DeterministicSignModel(), A, B, A, tolerance=-1.0),
@@ -74,6 +70,8 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
         (lambda: oracles.hemisphere_conditional_fraction(0, substream(1)), ValueError,
          "needs n >= 1 samples"),
         (lambda: predictions_equal(F, F, []), ValueError, "the axis grid is empty"),
+        (lambda: oracles.hemisphere_conditional_fraction(1, substream(1)), ValueError,
+         "no sample in the \\+a hemisphere"),
     ],
     ids=[
         "run_counts_trials", "pair_counts_negative", "estimate_magnitude", "constant_p",
@@ -81,9 +79,9 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
         "unknown_mode", "superposition_term", "superposition_finite", "joint_distribution_finite",
         "stochastic_defect_n", "chsh_operator_sign", "parse_axes", "quadrature_n",
         "quadrature_angle", "chsh_value_nan", "estimate_nan", "hemi_offset_nan",
-        "hemi_offset_inf", "hemi_order", "predictions_tolerance", "wigner_tolerance_nan",
+        "hemi_offset_inf", "wigner_tolerance_nan",
         "wigner_tolerance_negative", "wigner_check_unknown_mode", "conditional_fraction_n",
-        "predictions_empty_grid",
+        "predictions_empty_grid", "conditional_fraction_empty_hemisphere",
     ],
 )
 def test_guard_raises(call, error, message):
