@@ -268,7 +268,13 @@ def stochastic_defect(model: HVModel, a: Axis, n: int, rng: np.random.Generator)
     lam = model.sample(rng, n)
     p1 = model.plus1(a, lam)
     p2 = model.plus2(a, lam)
-    return float((p1 * p2 + (1.0 - p1) * (1.0 - p2)).mean())
+    del lam
+    # the same elementwise doubles as p1 p2 + (1 - p1)(1 - p2), since addition commutes,
+    # summed in one float buffer
+    equal = 1.0 - p1
+    equal *= 1.0 - p2
+    equal += p1 * p2
+    return float(equal.mean())
 
 
 def _arc_intersection_length(clauses) -> float:

@@ -127,22 +127,28 @@ def chsh_norm_grid(resolution: int) -> tuple:
     thetas = np.arange(resolution) * (2.0 * math.pi / resolution)
     sin_ap = np.abs(np.sin(thetas))  # (a',)
     sin_bbp = np.abs(np.sin(thetas[None, :] - thetas[:, None]))  # (b, b')
-    norms = 2.0 * V_MAX**2 * np.sqrt(1.0 + sin_ap[:, None, None] * sin_bbp[None])
+    # 2 V_MAX^2 sqrt(1 + sin_ap sin_bbp), built in one buffer
+    norms = sin_ap[:, None, None] * sin_bbp[None]
+    norms += 1.0
+    np.sqrt(norms, out=norms)
+    norms *= 2.0 * V_MAX**2
     best_flat = int(np.argmax(norms))
 
     n_check = min(norms.size, NORM_CHECK_POINTS)
     picks = substream(0, stream=NORM_CHECK_STREAM).choice(norms.size, n_check, replace=False)
     picks = np.append(picks, best_flat)
-    i_ap, i_b, i_bp = np.unravel_index(picks, norms.shape)
+    # keep only the checked points (the best last), so the grid is freed before the eigen-solves
+    picked = norms.flat[picks]
+    del norms
+    i_ap, i_b, i_bp = np.unravel_index(picks, (resolution,) * 3)
     quads = np.stack([np.zeros(picks.size), thetas[i_ap], thetas[i_b], thetas[i_bp]], axis=-1)
     for sign in (1, -1):
-        gap = np.abs(spectral_norm(_chsh_batch(quads, sign)) - norms.flat[picks]).max()
+        gap = np.abs(spectral_norm(_chsh_batch(quads, sign)) - picked).max()
         if gap > NORM_CHECK_TOL:
             raise ArithmeticError(f"closed-form CHSH norm disagrees with eigvalsh by {gap:.3e}")
 
-    i_ap, i_b, i_bp = np.unravel_index(best_flat, norms.shape)
-    best = (Axis(0.0), Axis(thetas[i_ap]), Axis(thetas[i_b]), Axis(thetas[i_bp]), 1)
-    return best, float(norms.flat[best_flat])
+    best = (Axis(0.0), *(Axis(thetas[i[-1]]) for i in (i_ap, i_b, i_bp)), 1)
+    return best, float(picked[-1])
 
 
 def identity_residual_scan(n_quadruples: int, seed: int) -> float:

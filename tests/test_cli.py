@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -837,6 +838,73 @@ class TestVerify:
         check = Check("chsh.example", False, 0.75, 0.5)
         assert check.margin == -0.25
         assert check.line == "check=chsh.example status=FAIL value=0.75 bound=0.5 margin=-0.25"
+
+
+class TestVerifyThreads:
+    """``verify --suite all`` runs on the calling thread plus one helper thread."""
+
+    def test_two_threads_run_suites_at_once(self, monkeypatch):
+        # each suite waits for the other, so a serial run breaks the barrier instead of hanging;
+        # the first suite also finishes last, yet its checks still come first
+        barrier = threading.Barrier(2, timeout=5)
+        second_done = threading.Event()
+        idents = {}
+
+        def first(seed):
+            barrier.wait()
+            assert second_done.wait(timeout=5)
+            idents["first"] = threading.get_ident()
+            return [Check("first.a", True, seed, 0.0), Check("first.b", True, seed, 0.0)]
+
+        def second(seed):
+            barrier.wait()
+            idents["second"] = threading.get_ident()
+            second_done.set()
+            return [Check("second.a", True, seed, 0.0)]
+
+        monkeypatch.setattr(cli, "VERIFY_SUITES", {"first": first, "second": second})
+        checks = run_verify("all", 3)
+        assert [check.name for check in checks] == ["first.a", "first.b", "second.a"]
+        assert all(check.value == 3 for check in checks)
+        assert len(set(idents.values())) == 2
+
+    def test_single_suite_runs_on_calling_thread(self, monkeypatch):
+        idents = []
+
+        def one(seed):
+            idents.append(threading.get_ident())
+            return []
+
+        monkeypatch.setattr(cli, "VERIFY_SUITES", {"one": one})
+        before = threading.active_count()
+        assert run_verify("one", 1) == []
+        assert idents == [threading.get_ident()]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("raiser", ["caller", "helper"])
+    def test_exception_in_either_thread_propagates(self, monkeypatch, capsys, raiser):
+        caller = threading.get_ident()
+        barrier = threading.Barrier(2, timeout=5)
+
+        def suite(seed):
+            barrier.wait()  # one suite on each thread
+            if (threading.get_ident() == caller) == (raiser == "caller"):
+                raise ValueError(f"{raiser} failed")
+            return []
+
+        monkeypatch.setattr(cli, "VERIFY_SUITES", {"one": suite, "two": suite})
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"{raiser} failed"):
+            run_verify("all", 1)
+        assert threading.active_count() == before
+        assert main(["verify", "--suite", "all"]) == 2
+        assert capsys.readouterr().err == f"error: {raiser} failed\n"
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("seed", [1, 7, 90210])
+    def test_all_equals_each_suite_alone(self, seed):
+        alone = [check for suite in VERIFY_SUITES for check in run_verify(suite, seed)]
+        assert run_verify("all", seed) == alone
 
 
 class TestSeedRule:
