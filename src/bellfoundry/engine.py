@@ -51,10 +51,9 @@ def run_counts(
     Task t is batch t % n_batches of pair t // n_batches.  Every pair's key
     range is checked before any batch is drawn.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    for name, value in (("trials", trials), ("threads", threads)):
+        if type(value) is not int or value < 1:  # type(), not isinstance: a bool is an int
+            raise ValueError(f"{name} must be >= 1 and an int, got {value!r}")
     n_batches = -(-trials // BATCH_SIZE)
     for _, _, stream in pairs:
         check_key(seed, stream, 0, n_batches - 1)

@@ -841,65 +841,32 @@ class TestVerify:
 
 
 class TestVerifyThreads:
-    """``verify --suite all`` runs on the calling thread plus one helper thread."""
+    """``verify`` runs every suite on the calling thread and starts no thread."""
 
-    def test_two_threads_run_suites_at_once(self, monkeypatch):
-        # each suite waits for the other, so a serial run breaks the barrier instead of hanging;
-        # the first suite also finishes last, yet its checks still come first
-        barrier = threading.Barrier(2, timeout=5)
-        second_done = threading.Event()
-        idents = {}
-
-        def first(seed):
-            barrier.wait()
-            assert second_done.wait(timeout=5)
-            idents["first"] = threading.get_ident()
-            return [Check("first.a", True, seed, 0.0), Check("first.b", True, seed, 0.0)]
-
-        def second(seed):
-            barrier.wait()
-            idents["second"] = threading.get_ident()
-            second_done.set()
-            return [Check("second.a", True, seed, 0.0)]
-
-        monkeypatch.setattr(cli, "VERIFY_SUITES", {"first": first, "second": second})
-        checks = run_verify("all", 3)
-        assert [check.name for check in checks] == ["first.a", "first.b", "second.a"]
-        assert all(check.value == 3 for check in checks)
-        assert len(set(idents.values())) == 2
-
-    def test_single_suite_runs_on_calling_thread(self, monkeypatch):
+    @pytest.mark.parametrize("suite", ["one", "all"])
+    def test_single_suite_runs_on_calling_thread(self, monkeypatch, suite):
         idents = []
 
-        def one(seed):
+        def record(seed):
             idents.append(threading.get_ident())
-            return []
+            return [Check("record", True, seed, 0.0)]
 
-        monkeypatch.setattr(cli, "VERIFY_SUITES", {"one": one})
+        monkeypatch.setattr(cli, "VERIFY_SUITES", {"one": record, "two": record})
         before = threading.active_count()
-        assert run_verify("one", 1) == []
-        assert idents == [threading.get_ident()]
+        checks = run_verify(suite, 3)
+        assert len(checks) == len(idents) == (1 if suite == "one" else 2)
+        assert all(check.value == 3 for check in checks)
+        assert set(idents) == {threading.get_ident()}
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("raiser", ["caller", "helper"])
-    def test_exception_in_either_thread_propagates(self, monkeypatch, capsys, raiser):
-        caller = threading.get_ident()
-        barrier = threading.Barrier(2, timeout=5)
+    def test_exception_under_all_exits_2(self, monkeypatch, capsys):
+        def fail(seed):
+            raise ValueError("suite failed")
 
-        def suite(seed):
-            barrier.wait()  # one suite on each thread
-            if (threading.get_ident() == caller) == (raiser == "caller"):
-                raise ValueError(f"{raiser} failed")
-            return []
-
-        monkeypatch.setattr(cli, "VERIFY_SUITES", {"one": suite, "two": suite})
-        before = threading.active_count()
-        with pytest.raises(ValueError, match=f"{raiser} failed"):
-            run_verify("all", 1)
-        assert threading.active_count() == before
+        monkeypatch.setattr(cli, "VERIFY_SUITES", {"one": lambda seed: [], "two": fail})
         assert main(["verify", "--suite", "all"]) == 2
-        assert capsys.readouterr().err == f"error: {raiser} failed\n"
-        assert threading.active_count() == before
+        captured = capsys.readouterr()
+        assert captured.err == "error: suite failed\n" and captured.out == ""
 
     @pytest.mark.parametrize("seed", [1, 7, 90210])
     def test_all_equals_each_suite_alone(self, seed):

@@ -31,6 +31,10 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
     [
         (lambda: engine.run_counts(engine.MODELS["quantum"], [(A, B, 0)], 0, 1),
          ValueError, "trials must be >= 1"),
+        (lambda: engine.run_counts(engine.MODELS["quantum"], [(A, B, 0)], True, 1),
+         ValueError, "trials must be >= 1 and an int, got True"),
+        (lambda: engine.run_counts(engine.MODELS["quantum"], [(A, B, 0)], 3, 1, 2.0),
+         ValueError, "threads must be >= 1 and an int, got 2.0"),
         (lambda: PairCounts(1, -1, 0, 0), ValueError, "counts must be nonnegative"),
         (lambda: ExpectationEstimate(0.3, 0.0), ValueError, "expectation magnitude exceeds"),
         (lambda: ConstantResponseModel(1.5), ValueError, "p must be a probability"),
@@ -74,7 +78,8 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
          "no sample in the \\+a hemisphere"),
     ],
     ids=[
-        "run_counts_trials", "pair_counts_negative", "estimate_magnitude", "constant_p",
+        "run_counts_trials", "run_counts_trials_bool", "run_counts_threads_float",
+        "pair_counts_negative", "estimate_magnitude", "constant_p",
         "model_expectation_n", "chsh_value_sign", "subset_spec_empty", "mc_needs_n",
         "unknown_mode", "superposition_term", "superposition_finite", "joint_distribution_finite",
         "stochastic_defect_n", "chsh_operator_sign", "parse_axes", "quadrature_n",
