@@ -63,8 +63,8 @@ def circle_quadratures(overlaps, deltas, n: int = 2_000_000) -> tuple[list[float
     ``np.cos(lam - theta) >= 0.0`` once per distinct angle; the sign rule's
     particle 1 reads theta = 0.0, and lam - 0.0 is lam.
     """
-    if n < 1:
-        raise ValueError("quadrature needs n >= 1 grid points")
+    if type(n) is not int or n < 1:  # type(), not isinstance: a bool is an int
+        raise ValueError(f"quadrature needs n >= 1 grid points and an int, got n={n!r}")
     angles = [t for pair in overlaps for t in pair] + ([0.0, *deltas] if deltas else [])
     if not all(math.isfinite(t) for t in angles):
         raise ValueError("quadrature angles must be finite")

@@ -868,11 +868,6 @@ class TestVerifyThreads:
         captured = capsys.readouterr()
         assert captured.err == "error: suite failed\n" and captured.out == ""
 
-    @pytest.mark.parametrize("seed", [1, 7, 90210])
-    def test_all_equals_each_suite_alone(self, seed):
-        alone = [check for suite in VERIFY_SUITES for check in run_verify(suite, seed)]
-        assert run_verify("all", seed) == alone
-
 
 class TestSeedRule:
     """verify and oracle take simulate's seed rule, 0 <= seed < 2**64, before any suite runs."""

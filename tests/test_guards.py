@@ -57,6 +57,10 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
         (lambda: cli._parse_axes("0,1,2,x"), cli.UsageError, "bad angle in --axes"),
         (lambda: oracles.sign_model_expectation_quadrature(0.5, 0), ValueError,
          "quadrature needs n >= 1"),
+        (lambda: oracles.circle_quadratures([(0.0, 1.0)], (), True), ValueError,
+         "quadrature needs n >= 1 grid points and an int, got n=True"),
+        (lambda: oracles.sign_model_expectation_quadrature(0.5, 10.0), ValueError,
+         "quadrature needs n >= 1 grid points and an int, got n=10.0"),
         (lambda: oracles.half_circle_overlap_quadrature(math.nan, 0.0), ValueError,
          "quadrature angles must be finite"),
         (lambda: chsh_value(math.nan, 0.0, 0.0, 0.0), ValueError, "or is NaN"),
@@ -83,8 +87,8 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
         "model_expectation_n", "chsh_value_sign", "subset_spec_empty", "mc_needs_n",
         "unknown_mode", "superposition_term", "superposition_finite", "joint_distribution_finite",
         "stochastic_defect_n", "chsh_operator_sign", "parse_axes", "quadrature_n",
-        "quadrature_angle", "chsh_value_nan", "estimate_nan", "hemi_offset_nan",
-        "hemi_offset_inf", "wigner_tolerance_nan",
+        "quadrature_n_bool", "quadrature_n_float", "quadrature_angle", "chsh_value_nan",
+        "estimate_nan", "hemi_offset_nan", "hemi_offset_inf", "wigner_tolerance_nan",
         "wigner_tolerance_negative", "wigner_check_unknown_mode", "conditional_fraction_n",
         "predictions_empty_grid", "conditional_fraction_empty_hemisphere",
     ],

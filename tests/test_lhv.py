@@ -52,16 +52,12 @@ def measure_std_error(measure: float, n: int) -> float:
 class TestDeterministicSignModel:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_batch_kernel_equals_generic_sampler(self, seed):
+        # the adapter is one call of the generic sampler; it must pass a and b
+        # in order, so (0.3, 1.1) swapped gives other counts on the same draws
         model = DeterministicSignModel()
-        pairs = [(0.0, 0.0), (0.3, 1.1), (5.9, 4.2), (0.0, math.pi), (1.0, 1.0 + math.pi / 2)]
-        for k, (ta, tb) in enumerate(pairs):
-            for n in (1, 1000, 65_536):
-                a, b = Axis(ta), Axis(tb)
-                fast = sample_sign_model_counts(substream(seed, 20, k), a, b, n)
-                assert fast == sample_model_counts(model, a, b, n, substream(seed, 20, k))
-        # the adapter passes a and b in order: (0.3, 1.1) swapped gives other counts
         a, b = Axis(0.3), Axis(1.1)
         fast = sample_sign_model_counts(substream(seed, 20), a, b, 1000)
+        assert fast == sample_model_counts(model, a, b, 1000, substream(seed, 20))
         assert fast != sample_model_counts(model, b, a, 1000, substream(seed, 20))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
