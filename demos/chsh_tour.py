@@ -9,7 +9,7 @@ against the spectral norm of the CHSH operator on a coarse grid.
 import math
 
 from bellfoundry import model1, model2
-from bellfoundry.cli import OPTIMAL_AXES
+from bellfoundry.cli import OPTIMAL_AXES, PAIRS
 from bellfoundry.engine import chsh_std_error
 from bellfoundry.geometry import Axis, BELL_BOUND, TSIRELSON_BOUND, empirical_expectation
 from bellfoundry.lhv import chsh_value, sign_model_expectation_analytic
@@ -18,18 +18,17 @@ from bellfoundry.rng import substream
 
 N = 400_000
 axes = [Axis(t) for t in OPTIMAL_AXES]
-pairs = [(0, 2), (0, 3), (1, 2), (1, 3)]
 
 print(f"Bell bound {BELL_BOUND}, Tsirelson bound {TSIRELSON_BOUND:.5f}")
 print()
 
 singlet = chsh_value(
-    *(singlet_expectation(axes[i], axes[j]) for i, j in pairs), sign_choice=1
+    *(singlet_expectation(axes[i], axes[j]) for _, i, j in PAIRS), sign_choice=1
 )
 print(f"analytic singlet     chsh = {singlet:.5f}  (violates the bound)")
 
 sign_lhv = chsh_value(
-    *(sign_model_expectation_analytic(axes[i], axes[j]) for i, j in pairs),
+    *(sign_model_expectation_analytic(axes[i], axes[j]) for _, i, j in PAIRS),
     sign_choice=1,
 )
 print(f"deterministic model  chsh = {sign_lhv:.5f}  (saturates, never exceeds)")
@@ -41,7 +40,7 @@ for stream, (name, sampler) in enumerate(
         empirical_expectation(
             sampler(substream(2, stream=stream, batch=k), axes[i], axes[j], N)
         )
-        for k, (i, j) in enumerate(pairs)
+        for k, (_, i, j) in enumerate(PAIRS)
     ]
     value = chsh_value(*(e.value for e in estimates), sign_choice=1)
     std = chsh_std_error([e.std_error for e in estimates])

@@ -50,7 +50,7 @@ class UsageError(Exception):
 
 
 def _parse_axes(value):
-    parts = [p for p in value.replace(",", " ").split() if p]
+    parts = value.replace(",", " ").split()
     if len(parts) != 4:
         raise UsageError(f"--axes needs four angles, got {value!r}")
     try:
@@ -162,7 +162,7 @@ CELL_LABELS = (("+1/2", "+1/2"), ("+1/2", "-1/2"), ("-1/2", "+1/2"), ("-1/2", "-
 
 
 def _write_report_files(out: str, report: dict) -> None:
-    """Render both CSVs from the report and write the three files whole or not at all.
+    """Render the three files from the report, then write them whole or not at all.
 
     Each file goes to a temporary name beside its target; only when all
     three are written are they moved into place with ``os.replace``, so
@@ -180,24 +180,19 @@ def _write_report_files(out: str, report: dict) -> None:
             summary_csv.append(f"{run_id}:{pair['pair']},{_fmt(pair['expectation'])},"
                                f"{_fmt(pair['std_error'])}\n")
         summary_csv.append(f"{run_id}:chsh,{_fmt(run['chsh'])},{_fmt(run['chsh_std_error'])}\n")
-
-    def write_json(fh):
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    writers = (
-        ("_counts.csv", lambda fh: fh.write("".join(counts_csv))),
-        ("_summary.csv", lambda fh: fh.write("".join(summary_csv))),
-        ("_report.json", write_json),
+    texts = (
+        ("_counts.csv", "".join(counts_csv)),
+        ("_summary.csv", "".join(summary_csv)),
+        ("_report.json", json.dumps(report, indent=2, sort_keys=True) + "\n"),
     )
     moves = []
     try:
-        for suffix, write in writers:
+        for suffix, text in texts:
             target = f"{out}{suffix}"
             temp = f"{target}.{os.urandom(8).hex()}.tmp"
             with open(temp, "x") as fh:
                 moves.append((temp, target))
-                write(fh)
+                fh.write(text)
         for temp, target in moves:
             os.replace(temp, target)
     finally:
@@ -519,7 +514,6 @@ def main(argv=None) -> int:
             return 0
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 2
 
 

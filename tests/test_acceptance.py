@@ -2,6 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines on the console; each criterion also fails its test individually.
+Criteria 3-5 run the matching ``verify`` suites at their own seeds and
+check by hand only what those suites do not.
 """
 
 import itertools
@@ -11,24 +13,17 @@ import math
 import numpy as np
 
 from bellfoundry import model1, model2
-from bellfoundry.cli import OPTIMAL_AXES, build_parser, load_config, run_simulate
+from bellfoundry.cli import (
+    OPTIMAL_AXES,
+    PAIRS,
+    build_parser,
+    load_config,
+    run_simulate,
+    run_verify,
+)
 from bellfoundry.engine import MODELS, chsh_std_error, run_pair_counts
-from bellfoundry.geometry import (
-    Axis,
-    BELL_BOUND,
-    TSIRELSON_BOUND,
-    empirical_expectation,
-)
-from bellfoundry.lhv import (
-    DeterministicSignModel,
-    check_bell_theorem,
-    chsh_value,
-    quantum_wigner_violation,
-    sign_model_expectation_analytic,
-    vertex_distributions,
-    joint_distribution_chsh,
-    wigner_inequality_check,
-)
+from bellfoundry.geometry import Axis, BELL_BOUND, empirical_expectation
+from bellfoundry.lhv import chsh_value, sign_model_expectation_analytic
 from bellfoundry.model2 import (
     FieldSuperposition,
     Hemisphere,
@@ -36,12 +31,7 @@ from bellfoundry.model2 import (
     predictions_equal,
     two_party_prob,
 )
-from bellfoundry.quantum import (
-    chsh_norm_grid,
-    identity_residual_scan,
-    singlet_expectation,
-    singlet_joint_table,
-)
+from bellfoundry.quantum import singlet_expectation, singlet_joint_table
 from bellfoundry.rng import substream
 
 DELTAS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2, 2 * math.pi / 3,
@@ -74,11 +64,10 @@ def test_criterion_1_singlet_reproduction():
 
 def test_criterion_2_chsh_violation():
     axes = [Axis(t) for t in OPTIMAL_AXES]
-    pairs = [(0, 2), (0, 3), (1, 2), (1, 3)]
     target = math.sqrt(2.0) / 2.0
 
     analytic = chsh_value(
-        *(singlet_expectation(axes[i], axes[j]) for i, j in pairs), sign_choice=1
+        *(singlet_expectation(axes[i], axes[j]) for _, i, j in PAIRS), sign_choice=1
     )
     ok = abs(analytic - target) < 1e-12 and analytic > BELL_BOUND
 
@@ -92,12 +81,16 @@ def test_criterion_2_chsh_violation():
             empirical_expectation(
                 sampler(substream(2025, stream=stream, batch=k), axes[i], axes[j], n)
             )
-            for k, (i, j) in enumerate(pairs)
+            for k, (_, i, j) in enumerate(PAIRS)
         ]
         value = chsh_value(*(e.value for e in estimates), sign_choice=1)
         tol = 5.0 * chsh_std_error([e.std_error for e in estimates])
         ok &= abs(value - target) <= tol and value > BELL_BOUND
     _report(2, "CHSH violation", ok)
+
+
+def _checks_pass(seed: int, *suites: str) -> bool:
+    return all(check.ok for suite in suites for check in run_verify(suite, seed))
 
 
 def test_criterion_3_bell_bound():
@@ -113,46 +106,22 @@ def test_criterion_3_bell_bound():
         worst = max(worst, float((term1 + term2).max()))
     ok = worst <= BELL_BOUND + 1e-12
 
-    # MC mode over a grid, within statistical tolerance
-    grid = [Axis(k * math.pi / 4.0) for k in range(8)]
-    value, tolerance = check_bell_theorem(DeterministicSignModel(), grid, 100_000, substream(2026))
-    ok &= value <= BELL_BOUND + tolerance
-
-    # the 16 deterministic vertex joint distributions
-    worst_vertex = max(joint_distribution_chsh(f) for f in vertex_distributions())
-    ok &= worst_vertex <= BELL_BOUND + 1e-15
+    # verify's chsh suite: the Monte Carlo grid, the 16 vertex distributions and the singlet
+    ok &= _checks_pass(2026, "chsh")
     _report(3, "Bell bound for factorizable models", ok)
 
 
 def test_criterion_4_operator_identity_and_tsirelson():
-    residual = identity_residual_scan(1000, seed=2027)
-    ok = residual < 1e-12
-    _, best_norm = chsh_norm_grid(64)
-    ok &= abs(best_norm - TSIRELSON_BOUND) < 1e-9
-    ok &= best_norm <= TSIRELSON_BOUND + 1e-10
+    ok = _checks_pass(2027, "identity", "tsirelson")
     _report(4, "operator identity and Tsirelson bound", ok)
 
 
 def test_criterion_5_wigner_suite():
-    model = DeterministicSignModel()
-    rng = substream(2028)
-    ok = True
-    n = 200_000
-    for batch in range(100):
-        a, ap, b = (Axis(t) for t in rng.uniform(0.0, 2.0 * math.pi, size=3))
-        lhs, rhs, holds = wigner_inequality_check(model, a, ap, b)
-        ok &= holds or lhs >= rhs - 1e-12
-        mc_rng = substream(2028, stream=1, batch=batch)
-        _, _, holds_mc = wigner_inequality_check(
-            model, a, ap, b, mode="mc", n=n, rng=mc_rng, tolerance=1e-12
-        )
-        ok &= holds_mc
-    lhs, rhs, violated = quantum_wigner_violation(
-        Axis(math.pi / 4.0), Axis(math.pi / 2.0), Axis(0.0)
-    )
-    ok &= violated
-    ok &= abs(lhs - 0.5) < 1e-12
-    ok &= abs(rhs - math.sqrt(2.0) / 2.0) < 1e-12
+    checks = {check.name: check for check in run_verify("wigner", 2028)}
+    ok = all(check.ok for check in checks.values())
+    singlet = checks["wigner.quantum_violates"]
+    ok &= abs(singlet.value - 0.5) < 1e-12
+    ok &= abs(singlet.bound - math.sqrt(2.0) / 2.0) < 1e-12
     _report(5, "Wigner suite", ok)
 
 

@@ -554,26 +554,6 @@ class TestSimulate:
         assert lines[0] == "pair_id,E,std_error"
         assert lines[-1].startswith("0:chsh,")
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        (tmp_path / "a").mkdir()
-        (tmp_path / "b").mkdir()
-        rc1 = main(_simulate_args(tmp_path / "a", "--threads", "1"))
-        rc4 = main(_simulate_args(tmp_path / "b", "--threads", "4"))
-        assert rc1 == rc4 == 0
-        for suffix in ("_counts.csv", "_summary.csv", "_report.json"):
-            one = (tmp_path / "a" / f"run{suffix}").read_bytes()
-            four = (tmp_path / "b" / f"run{suffix}").read_bytes()
-            assert one == four
-
-    def test_rerun_is_byte_identical(self, tmp_path):
-        (tmp_path / "a").mkdir()
-        (tmp_path / "b").mkdir()
-        main(_simulate_args(tmp_path / "a"))
-        main(_simulate_args(tmp_path / "b"))
-        assert (tmp_path / "a" / "run_report.json").read_bytes() == (
-            tmp_path / "b" / "run_report.json"
-        ).read_bytes()
-
     def test_wall_clock_only_on_console(self, tmp_path, capsys):
         main(_simulate_args(tmp_path))
         assert "wall clock" in capsys.readouterr().out
@@ -607,12 +587,17 @@ class TestAtomicReports:
             f"run{suffix}" for suffix in sorted(REPORT_SUFFIXES)
         ]
 
-    def test_failed_write_leaves_no_report_and_no_temp_file(self, tmp_path, monkeypatch):
-        def broken_dump(*args, **kwargs):
-            raise RuntimeError("disk full")
+    @staticmethod
+    def _break_replace(monkeypatch):
+        # fails once all three temporary files are written, before any is moved into place
+        def broken_replace(*args, **kwargs):
+            raise OSError("disk full")
 
-        monkeypatch.setattr(cli.json, "dump", broken_dump)
-        with pytest.raises(RuntimeError):
+        monkeypatch.setattr(cli.os, "replace", broken_replace)
+
+    def test_failed_write_leaves_no_report_and_no_temp_file(self, tmp_path, monkeypatch):
+        self._break_replace(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
             run_simulate(self._config(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
@@ -620,12 +605,8 @@ class TestAtomicReports:
         config = self._config(tmp_path)
         run_simulate(config)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-
-        def broken_dump(*args, **kwargs):
-            raise RuntimeError("disk full")
-
-        monkeypatch.setattr(cli.json, "dump", broken_dump)
-        with pytest.raises(RuntimeError):
+        self._break_replace(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
             run_simulate({**config, "seed": 2})
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -668,14 +649,25 @@ class TestGoldenReports:
         assert [run["flag"] for run in report["runs"]] == ["undetermined", "undetermined"]
 
 
-class TestEngine:
-    def test_counts_deterministic_across_threads(self):
-        a, b = Axis(0.0), Axis(1.1)
-        for name in MODELS:
-            c1 = run_pair_counts(MODELS[name], a, b, 70_000, 5, 0, 1)
-            c4 = run_pair_counts(MODELS[name], a, b, 70_000, 5, 0, 4)
-            assert (c1.n_pp, c1.n_pm, c1.n_mp, c1.n_mm) == (c4.n_pp, c4.n_pm, c4.n_mp, c4.n_mm)
+class TestReportReplay:
+    """A report records all a config needs to write the same three files again."""
 
+    @pytest.mark.parametrize(
+        "config", [GOLDEN_SWEEP_CONFIG, GOLDEN_SINGLE_TRIAL_CONFIG], ids=["sweep", "single_trial"]
+    )
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_report_replays_itself(self, tmp_path, model, config):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        first.mkdir()
+        replay.mkdir()
+        digests = _report_digests(first, {"model": model, **config}, 1)
+        report = json.loads((first / "run_report.json").read_text())
+        recorded = {key: report[key] for key in ("model", "trials", "seed", "sign_choice")}
+        recorded["axes"] = [run["axes"] for run in report["runs"]]
+        assert _report_digests(replay, recorded, 1) == digests
+
+
+class TestEngine:
     @pytest.mark.parametrize("trials", [1, 2 * BATCH_SIZE + 1, 7 * BATCH_SIZE + 3])
     def test_counts_equal_for_any_worker_split(self, trials):
         # 1 and 3 batches leave some of the 5 threads without work
@@ -840,7 +832,7 @@ class TestVerify:
         assert check.line == "check=chsh.example status=FAIL value=0.75 bound=0.5 margin=-0.25"
 
 
-class TestVerifyThreads:
+class TestVerifyStartsNoThread:
     """``verify`` runs every suite on the calling thread and starts no thread."""
 
     @pytest.mark.parametrize("suite", ["one", "all"])
@@ -923,8 +915,9 @@ print(rc, peak_kib)
 class TestPeakMemory:
     """oracle and scan stay far below their old full-grid peaks (about 100 and 92 MB).
 
-    A bare ``import bellfoundry.cli`` peaks near 35 MB; the blocked quadratures and the
-    one-a'-at-a-time scan near 40 MB, and every verify suite in one run near 44 MB.
+    A bare ``import bellfoundry.cli`` peaks near 35 MB, ``oracle``'s blocked quadratures
+    near 39 MB, the one-a'-at-a-time scan at grid 192 near 38 MB, and every verify suite in
+    one run near 41 MB.
     """
 
     @pytest.mark.parametrize(
