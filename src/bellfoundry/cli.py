@@ -162,11 +162,12 @@ CELL_LABELS = (("+1/2", "+1/2"), ("+1/2", "-1/2"), ("-1/2", "+1/2"), ("-1/2", "-
 
 
 def _write_report_files(out: str, report: dict) -> None:
-    """Render the three files from the report, then write them whole or not at all.
+    """Write the three files from the report, whole or not at all.
 
     Each file goes to a temporary name beside its target; only when all
     three are written are they moved into place with ``os.replace``, so
-    a failed write leaves the previous files and no temporary file.
+    a failed write leaves the previous files and no temporary file.  The
+    CSV lines and the JSON encoder's chunks go to the file as they come.
     """
     counts_csv = ["run_id,theta_a,theta_b,a1,b2,count,freq\n"]
     summary_csv = ["pair_id,E,std_error\n"]
@@ -180,19 +181,21 @@ def _write_report_files(out: str, report: dict) -> None:
             summary_csv.append(f"{run_id}:{pair['pair']},{_fmt(pair['expectation'])},"
                                f"{_fmt(pair['std_error'])}\n")
         summary_csv.append(f"{run_id}:chsh,{_fmt(run['chsh'])},{_fmt(run['chsh_std_error'])}\n")
-    texts = (
-        ("_counts.csv", "".join(counts_csv)),
-        ("_summary.csv", "".join(summary_csv)),
-        ("_report.json", json.dumps(report, indent=2, sort_keys=True) + "\n"),
-    )
     moves = []
     try:
-        for suffix, text in texts:
+        for suffix, lines in (("_counts.csv", counts_csv), ("_summary.csv", summary_csv),
+                              ("_report.json", None)):
             target = f"{out}{suffix}"
             temp = f"{target}.{os.urandom(8).hex()}.tmp"
             with open(temp, "x") as fh:
                 moves.append((temp, target))
-                fh.write(text)
+                if lines is not None:
+                    fh.writelines(lines)
+                else:
+                    # json.dumps would hold every chunk of the pure-Python indent
+                    # encoder in one list before joining them
+                    json.dump(report, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
         for temp, target in moves:
             os.replace(temp, target)
     finally:

@@ -19,7 +19,6 @@ from bellfoundry.model1 import (
     single_measure_prob,
 )
 from bellfoundry.oracles import hemi_average_quadrature, hemisphere_conditional_fraction
-from bellfoundry.quantum import singlet_expectation
 from bellfoundry.rng import substream
 
 
@@ -72,18 +71,6 @@ class TestEprTrials:
                 got = sample_trial_counts(substream(61, k), a, b, n)
                 expected = reference_trial_counts(substream(61, k), a, b, n)
                 assert got == expected
-
-    def test_same_axis_perfectly_anticorrelated(self):
-        a = Axis(0.9)
-        counts = sample_trial_counts(substream(54), a, a, 50_000)
-        assert counts.n_pp == 0 and counts.n_mm == 0
-
-    def test_expectation_matches_singlet(self):
-        for delta in (math.pi / 4, math.pi / 2, 1.9):
-            n = 400_000
-            counts = sample_trial_counts(substream(55), Axis(0.0), Axis(delta), n)
-            est = empirical_expectation(counts)
-            assert abs(est.value - singlet_expectation(Axis(0.0), Axis(delta))) < 5 * est.std_error
 
     def test_scalar_trial_agrees_with_batch(self):
         a, b = Axis(0.0), Axis(math.pi / 4)

@@ -27,7 +27,7 @@ from bellfoundry.model2 import (
     two_party_prob,
 )
 from bellfoundry.oracles import hemi_average_quadrature
-from bellfoundry.quantum import singlet_expectation, singlet_joint_probability, spin_operator
+from bellfoundry.quantum import spin_operator
 from bellfoundry.rng import substream
 
 GRID = [Axis(k * math.pi / 7) for k in range(14)]
@@ -70,13 +70,6 @@ class TestSingleMeasurement:
 
 
 class TestEquivalence:
-    def test_coefficients_unit_norm(self):
-        rng = substream(71)
-        for _ in range(50):
-            a, u = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
-            cp, cm = decompose_field(Hemisphere(a, 1), u)
-            assert cp**2 + cm**2 == pytest.approx(1.0)
-
     def test_equals_the_old_half_angle_form(self):
         angles = [0.0, math.pi, 5e-324, 1e-300, math.nextafter(2 * math.pi, 0.0)] + list(
             substream(75).uniform(0, 2 * math.pi, size=45)
@@ -138,14 +131,6 @@ class TestEquivalence:
         assert cp**2 == pytest.approx(0.5)
         assert cm**2 == pytest.approx(0.5)
 
-    def test_rhs_particle_prob_normalized(self):
-        rng = substream(74)
-        for _ in range(50):
-            a, u = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
-            for sign in (1, -1):
-                cp, cm = decompose_field(Hemisphere(a, sign), u)
-                assert cp**2 + cm**2 == pytest.approx(1.0)
-
     def test_superposition_rejects_vanishing_field(self):
         a = Axis(0.0)
         f = FieldSuperposition(
@@ -156,23 +141,6 @@ class TestEquivalence:
 
 
 class TestTwoPartyField:
-    def test_joint_law_matches_singlet(self):
-        rng = substream(75)
-        for _ in range(100):
-            label, tc, tb = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=3))
-            for o1 in (1, -1):
-                for o2 in (1, -1):
-                    p = two_party_prob(label, tc, tb, o1, o2)
-                    assert p == pytest.approx(
-                        singlet_joint_probability(o1, tc, o2, tb), abs=1e-12
-                    )
-
-    def test_label_axis_irrelevant(self):
-        c, b = Axis(0.4), Axis(1.9)
-        base = two_party_prob(Axis(0.0), c, b, 1, -1)
-        for label in GRID:
-            assert two_party_prob(label, c, b, 1, -1) == pytest.approx(base, abs=1e-12)
-
     def test_conditional_inference_matches_joint(self):
         rng = substream(76)
         for _ in range(50):
@@ -244,18 +212,6 @@ class TestEprTrials:
                 a, b = Axis(ta), Axis(tb)
                 got = sample_trial_counts(substream(82, k), a, b, n)
                 assert got == reference_trial_counts(substream(82, k), a, b, n)
-
-    def test_same_axis_anticorrelated(self):
-        a = Axis(1.4)
-        counts = sample_trial_counts(substream(77), a, a, 50_000)
-        assert counts.n_pp == 0 and counts.n_mm == 0
-
-    def test_expectation_matches_singlet(self):
-        for delta in (math.pi / 4, 1.0, 2.6):
-            n = 400_000
-            counts = sample_trial_counts(substream(78), Axis(0.0), Axis(delta), n)
-            est = empirical_expectation(counts)
-            assert abs(est.value - singlet_expectation(Axis(0.0), Axis(delta))) < 5 * est.std_error
 
     def test_scalar_trial_agrees_with_batch(self):
         a, b = Axis(0.0), Axis(math.pi / 3)

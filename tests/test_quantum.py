@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bellfoundry import quantum
+from bellfoundry.cli import OPTIMAL_AXES
 from bellfoundry.geometry import Axis, TSIRELSON_BOUND, V_MAX, wrap_delta
 from bellfoundry.linalg import spectral_norm
 from bellfoundry.quantum import (
@@ -17,8 +18,6 @@ from bellfoundry.quantum import (
     spin_operator,
 )
 from bellfoundry.rng import substream
-
-OPTIMAL = [Axis(0.0), Axis(math.pi / 2), Axis(math.pi / 4), Axis(3 * math.pi / 4)]
 
 
 class TestSingletLaw:
@@ -49,27 +48,6 @@ class TestSingletLaw:
                         p = singlet_joint_probability(o1, a, o2, b)
                         assert type(p) is float and p == old_cell(o1, a, o2, b)
 
-    def test_normalization_random_axes(self):
-        rng = substream(21)
-        for _ in range(1000):
-            a, b = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
-            total = sum(
-                singlet_joint_probability(o1, a, o2, b)
-                for o1 in (1, -1)
-                for o2 in (1, -1)
-            )
-            assert abs(total - 1.0) < 1e-12
-
-    def test_marginals_are_half(self):
-        rng = substream(22)
-        for _ in range(100):
-            a, b = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
-            for o1 in (1, -1):
-                marginal = sum(
-                    singlet_joint_probability(o1, a, o2, b) for o2 in (1, -1)
-                )
-                assert marginal == pytest.approx(0.5, abs=1e-12)
-
     def test_expectation_values(self):
         assert singlet_expectation(Axis(0.0), Axis(0.0)) == pytest.approx(-0.25)
         assert singlet_expectation(Axis(0.0), Axis(math.pi / 2)) == pytest.approx(0.0, abs=1e-15)
@@ -86,14 +64,6 @@ class TestSingletLaw:
             )
             assert weighted == pytest.approx(singlet_expectation(a, b), abs=1e-12)
 
-    def test_rotational_invariance(self):
-        rng = substream(24)
-        for _ in range(100):
-            a, b, shift = rng.uniform(0, 2 * math.pi, size=3)
-            assert singlet_expectation(Axis(a), Axis(b)) == pytest.approx(
-                singlet_expectation(Axis(a + shift), Axis(b + shift)), abs=1e-12
-            )
-
 
 class TestSpinOperator:
     def test_z_axis_diagonal(self):
@@ -104,13 +74,6 @@ class TestSpinOperator:
     def test_x_axis_off_diagonal(self):
         op = spin_operator(Axis(math.pi / 2))
         np.testing.assert_allclose(op, [[0, 0.5], [0.5, 0]], atol=1e-15)
-
-    def test_trace_det_eigenvalues(self):
-        rng = substream(25)
-        for theta in rng.uniform(0, 2 * math.pi, size=20):
-            op = spin_operator(Axis(theta))
-            assert np.trace(op).real == pytest.approx(0.0, abs=1e-14)
-            assert np.linalg.det(op).real == pytest.approx(-0.25, abs=1e-14)
 
 
 class TestChshOperator:
@@ -124,23 +87,16 @@ class TestChshOperator:
     def test_optimal_axes_reach_tsirelson(self):
         # oracles: the largest singular value (an SVD, not an eigen-solve) and
         # the closed form 2 V^2 sqrt(1 + |sin(a' - a) sin(b' - b)|)
-        a, ap, b, bp = (axis.theta for axis in OPTIMAL)
+        a, ap, b, bp = OPTIMAL_AXES
         closed = 2 * V_MAX**2 * math.sqrt(1 + abs(math.sin(ap - a) * math.sin(bp - b)))
         norms = []
         for sign in (1, -1):
-            op = chsh_operator(*OPTIMAL, sign_choice=sign)
+            op = chsh_operator(*map(Axis, OPTIMAL_AXES), sign_choice=sign)
             norm = float(spectral_norm(op))
             assert norm == pytest.approx(np.linalg.norm(op, 2), abs=1e-10)
             assert norm == pytest.approx(closed, abs=1e-10)
             norms.append(norm)
         assert max(norms) == pytest.approx(math.sqrt(2) / 2, abs=1e-10)
-
-    def test_hermitian_by_construction(self):
-        rng = substream(26)
-        for _ in range(50):
-            axes = [Axis(t) for t in rng.uniform(0, 2 * math.pi, size=4)]
-            op = chsh_operator(*axes, sign_choice=1)
-            assert np.abs(op - op.conj().T).max() < 1e-12
 
     def test_built_operators_exactly_symmetric(self):
         # why no operator type re-checks Hermiticity: every built operator
@@ -169,19 +125,13 @@ class TestChshOperator:
 
 
 class TestOperatorIdentity:
-    def test_exact_for_random_axes(self):
-        rng = substream(28)
-        for _ in range(100):
-            axes = [Axis(t) for t in rng.uniform(0, 2 * math.pi, size=4)]
-            assert identity_residual(np.array([[x.theta for x in axes]])) < 1e-12
-
     def test_commuting_case(self):
         a, b, bp = Axis(0.9), Axis(1.2), Axis(2.0)
         op = chsh_operator(a, a, b, bp, sign_choice=1)
         np.testing.assert_allclose(op @ op, 0.25 * np.eye(4), atol=1e-13)
 
     def test_optimal_axes(self):
-        assert identity_residual(np.array([[x.theta for x in OPTIMAL]])) < 1e-12
+        assert identity_residual(np.array([OPTIMAL_AXES])) < 1e-12
 
     def test_batched_scan_matches_loop(self):
         # reference: the scan one quadruple at a time on the built
@@ -205,11 +155,6 @@ class TestOperatorIdentity:
 
 
 class TestNormGrid:
-    def test_small_grid_reaches_tsirelson(self):
-        best, norm = chsh_norm_grid(16)
-        assert norm == pytest.approx(math.sqrt(2) / 2, abs=1e-9)
-        assert norm <= TSIRELSON_BOUND + 1e-10
-
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError):
             chsh_norm_grid(1)
