@@ -140,27 +140,14 @@ def counts_from_signs(s1: np.ndarray, s2: np.ndarray) -> PairCounts:
     return PairCounts(n_pp, n_p1 - n_pp, n_p2 - n_pp, p1.size - n_p1 - n_p2 + n_pp)
 
 
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """Each row of an (n, 3) array divided by its Euclidean norm.
-
-    Bitwise equal to ``v / np.linalg.norm(v, axis=1, keepdims=True)``: the
-    squares are summed in the same left-to-right order, without the
-    general norm's overhead.
-    """
-    sq = v * v
-    norm = sq[:, 0] + sq[:, 1]
-    norm += sq[:, 2]
-    np.sqrt(norm, out=norm)
-    return np.divide(v, norm[:, None], out=sq)
-
-
 def sample_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
     """n points uniform on the unit sphere (normalized Gaussians)."""
-    return _unit_rows(rng.standard_normal((n, 3)))
+    v = rng.standard_normal((n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def _raw_sign_is_exact(v: np.ndarray, t: np.ndarray, a_unit: np.ndarray) -> bool:
-    """True when ``t >= 0`` provably equals ``_unit_rows(v) @ a_unit >= 0`` on every row.
+    """True when ``t >= 0`` provably equals ``(v / |v|) @ a_unit >= 0`` on every row.
 
     ``t`` is ``v @ a_unit`` for a nonempty (n, 3) ``v`` and a unit vector
     ``a_unit``.  Let u = 2**-53, gamma_3 = 3u / (1 - 3u), eta = 2**-1075
@@ -204,7 +191,7 @@ def hemisphere_pair_signs(
     models share this law and its RNG consumption: the sphere draw, then
     one uniform per trial.
 
-    The hemisphere is that of the normalized draw, ``_unit_rows(v) @ a_unit
+    The hemisphere is that of the normalized draw, ``(v / |v|) @ a_unit
     >= 0``, but it is read from the raw Gaussians v when
     ``_raw_sign_is_exact`` proves every row's decision equal; that skips
     the normalization and its (n, 3) temporaries.  Otherwise the whole
@@ -216,7 +203,7 @@ def hemisphere_pair_signs(
     if n and _raw_sign_is_exact(v, t, a_unit):
         plus1 = t >= 0.0
     else:
-        plus1 = _unit_rows(v) @ a_unit >= 0.0
+        plus1 = v / np.linalg.norm(v, axis=1, keepdims=True) @ a_unit >= 0.0
     u = rng.random(n)
     plus2 = np.where(plus1, u < p_plus_if_plus, u < p_plus_if_minus)
     return plus1, plus2

@@ -12,8 +12,8 @@ coefficients are the amplitudes of the outcomes +1/2 and -1/2 along u.
 A measurement along b is fixed by one number, P(+1/2), the square of the
 amplitude of +1/2, so a + field along a gives
 P(+1/2) = cos((theta_b - theta_a)/2)**2, and P(-1/2) is 1 - P(+1/2).
-Pointwise field values are kept for particle-membership logic and
-quadrature validation.
+``field_value`` states the field pointwise; no prediction reads it: particle
+membership is ``Hemisphere.contains``, and the oracles integrate their own.
 
 Fields superpose linearly, and superpositions on different hemispheres
 can give identical predictions along every axis: an equivalence class.

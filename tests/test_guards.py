@@ -69,10 +69,6 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
          "quadrature offset must be finite"),
         (lambda: oracles.hemi_average_quadrature(math.inf), ValueError,
          "quadrature offset must be finite"),
-        (lambda: wigner_inequality_check(DeterministicSignModel(), A, B, A, tolerance=math.nan),
-         ValueError, "tolerance must be finite and nonnegative"),
-        (lambda: wigner_inequality_check(DeterministicSignModel(), A, B, A, tolerance=-1.0),
-         ValueError, "tolerance must be finite and nonnegative"),
         (lambda: wigner_inequality_check(DeterministicSignModel(), A, B, A, mode="exact"),
          ValueError, "unknown mode"),
         (lambda: oracles.hemisphere_conditional_fraction(0, substream(1)), ValueError,
@@ -88,9 +84,8 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
         "unknown_mode", "superposition_term", "superposition_finite", "joint_distribution_finite",
         "stochastic_defect_n", "chsh_operator_sign", "parse_axes", "quadrature_n",
         "quadrature_n_bool", "quadrature_n_float", "quadrature_angle", "chsh_value_nan",
-        "estimate_nan", "hemi_offset_nan", "hemi_offset_inf", "wigner_tolerance_nan",
-        "wigner_tolerance_negative", "wigner_check_unknown_mode", "conditional_fraction_n",
-        "predictions_empty_grid", "conditional_fraction_empty_hemisphere",
+        "estimate_nan", "hemi_offset_nan", "hemi_offset_inf", "wigner_check_unknown_mode",
+        "conditional_fraction_n", "predictions_empty_grid", "conditional_fraction_empty_hemisphere",
     ],
 )
 def test_guard_raises(call, error, message):

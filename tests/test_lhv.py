@@ -259,15 +259,6 @@ class TestWorstChshEqualsLoop:
             errors = rng.uniform(0.0, 0.01, size=(g, g))
             _assert_table_scores_equal(values, errors)
 
-    def test_rejects_out_of_range(self):
-        values = np.full((2, 2), -0.25)
-        values[1, 0] = 0.3
-        with pytest.raises(ValueError, match="exceeds"):
-            _worst_chsh(values, np.zeros((2, 2)))
-        values[1, 0] = math.nan
-        with pytest.raises(ValueError, match="or is NaN"):
-            _worst_chsh(values, np.zeros((2, 2)))
-
 
 class TestMonteCarloStreamPin:
     """What ``verify --suite chsh`` draws from its stream, pinned by digest.
@@ -501,7 +492,7 @@ class TestWignerInequality:
         lhs, rhs, holds = wigner_inequality_check(
             model, Axis(math.pi / 4), Axis(math.pi / 2), Axis(0.0)
         )
-        assert holds
+        assert holds and lhs >= rhs
 
     def test_equal_axes_trivial(self):
         model = DeterministicSignModel()
@@ -513,7 +504,7 @@ class TestWignerInequality:
     def test_mc_route_holds_exactly_on_one_sample(self):
         # every lam in (+a & +b) lies in (+a' & +b) or (+a & -a'), so scored
         # on one sample the inequality holds however small n is; n = 64
-        # also makes every division by n exact, so no tolerance is needed
+        # also makes every division by n exact, so no slack is needed
         model = DeterministicSignModel()
         rng = substream(5)
         for k in range(500):
@@ -521,7 +512,7 @@ class TestWignerInequality:
             lhs, rhs, holds = wigner_inequality_check(
                 model, a, ap, b, mode="mc", n=64, rng=substream(6, 0, k)
             )
-            assert holds, (k, lhs, rhs)
+            assert holds and lhs >= rhs, (k, lhs, rhs)
 
 
 def _ones_mean_wigner_mc(a, ap, b, n, rng):
@@ -548,9 +539,7 @@ class TestWignerMcEqualsOnesMean:
         for k in range(50):
             a, ap, b = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=3))
             n = 100_000 if k % 2 else 1_000 + k
-            result = wigner_inequality_check(
-                model, a, ap, b, mode="mc", n=n, rng=substream(55, 0, k), tolerance=1e-12
-            )
+            result = wigner_inequality_check(model, a, ap, b, mode="mc", n=n, rng=substream(55, 0, k))
             assert result == _ones_mean_wigner_mc(a, ap, b, n, substream(55, 0, k)), k
 
     def test_one_and_three_clause_specs(self):

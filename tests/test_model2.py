@@ -226,7 +226,7 @@ class TestEprTrials:
 
 
 class FixedDraws:
-    """A generator stub: one sphere point along +z or -z, and one uniform u."""
+    """A generator stub: sphere points along +z or -z, and uniforms u (a scalar without n)."""
 
     def __init__(self, first_sign, u):
         self.first_sign = first_sign
@@ -235,8 +235,8 @@ class FixedDraws:
     def standard_normal(self, shape):
         return np.tile([0.0, 0.0, float(self.first_sign)], (shape[0], 1))
 
-    def random(self, n):
-        return np.full(n, self.u)
+    def random(self, n=None):
+        return self.u if n is None else np.full(n, self.u)
 
 
 # At this angle the two models' thresholds differ in the last bits:
@@ -293,20 +293,17 @@ class TestSingleSphereSequence:
             assert again == outcome
 
     def test_noncommuting_sequence_statistics(self):
-        # measure along b then c: the second outcome follows the law for a
-        # field prepared along b, regardless of the original preparation
-        rng = substream(83)
+        # measure along b then c: the field becomes Hemisphere(b, o1) whatever
+        # was prepared, so the outcome along c flips at that field's threshold
         b, c = Axis(0.0), Axis(math.pi / 3)
-        n = 40_000
-        hits = 0
-        conditioned = 0
-        for _ in range(n):
-            state = prepare_sphere(rng, Hemisphere(Axis(1.5), 1))
-            o1, state = measure_sphere(rng, state, b)
-            o2, _ = measure_sphere(rng, state, c)
-            if o1 > 0:
-                conditioned += 1
-                hits += o2 > 0
-        expected = measure_prob_single(Hemisphere(b, 1), c)
-        se = math.sqrt(expected * (1 - expected) / conditioned)
-        assert abs(hits / conditioned - expected) < 5 * se
+        for prepared in (Hemisphere(Axis(1.5), 1), Hemisphere(Axis(4.0), -1), Hemisphere(b, 1)):
+            state = prepare_sphere(substream(83), prepared)
+            p_plus = measure_prob_single(prepared, b)
+            for o1, u in ((1, math.nextafter(p_plus, 0.0)), (-1, p_plus)):
+                sign, after_b = measure_sphere(FixedDraws(1, u), state, b)
+                assert sign == o1
+                assert after_b.field == Hemisphere(b, o1)
+                assert after_b.field.contains(after_b.particle)
+                threshold = measure_prob_single(Hemisphere(b, o1), c)
+                assert measure_sphere(FixedDraws(1, math.nextafter(threshold, 0.0)), after_b, c)[0] > 0
+                assert measure_sphere(FixedDraws(1, threshold), after_b, c)[0] < 0

@@ -105,7 +105,7 @@ def test_wigner_inequality_always_holds_deterministic(ta, tap, tb):
     lhs, rhs, holds = wigner_inequality_check(
         DeterministicSignModel(), Axis(ta), Axis(tap), Axis(tb)
     )
-    assert holds or lhs >= rhs - 1e-12
+    assert holds and lhs >= rhs - 1e-12
 
 
 @given(angles, angles, st.sampled_from([1, -1]), st.sampled_from([1, -1]))
