@@ -223,13 +223,13 @@ def check_bell_theorem(
     )
 
 
-def joint_distribution_chsh(f: np.ndarray) -> float | np.ndarray:
+def joint_distribution_chsh(f: np.ndarray) -> np.ndarray | np.float64:
     """CHSH from joint distributions over (A1, A1', B2, B2'); always <= 1/2.
 
     ``f`` has shape (..., 2, 2, 2, 2), index 0 meaning +1/2 and 1 meaning
     -1/2.  Each distribution's four pair expectations are recovered by
-    marginalization and the larger of the two sign patterns is returned,
-    as a float for one distribution and an array over the batch axes.
+    marginalization, and the larger of the two sign patterns is returned
+    with the batch shape f.shape[:-4] (shape () for one distribution).
     """
     f = np.asarray(f, dtype=float)
     if f.shape[-4:] != (2, 2, 2, 2):
@@ -245,11 +245,10 @@ def joint_distribution_chsh(f: np.ndarray) -> float | np.ndarray:
     e_abp = np.einsum("i,l,...ijkl->...", v, v, f)
     e_apb = np.einsum("j,k,...ijkl->...", v, v, f)
     e_apbp = np.einsum("j,l,...ijkl->...", v, v, f)
-    value = np.maximum(
+    return np.maximum(
         _chsh(e_ab, e_abp, e_apb, e_apbp, 1),
         _chsh(e_ab, e_abp, e_apb, e_apbp, -1),
     )
-    return float(value) if f.ndim == 4 else value
 
 
 def vertex_distributions() -> np.ndarray:

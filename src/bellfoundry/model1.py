@@ -37,9 +37,10 @@ def single_measure_prob(label: Hemisphere, b: Axis) -> float:
     """P(R_b = +1/2) for an outcome along b under a hemisphere ensemble.
 
     P(+1/2) = (cos(theta_b - theta_ensemble) + 1) / 2, the unique law
-    whose outcome average matches the mean projection of the ensemble.
+    whose outcome average matches the mean projection of the ensemble;
+    for Hemisphere(a, s) that is (1 + s cos(theta_b - theta_a)) / 2.
     """
-    return (math.cos(b.theta - label.effective_angle) + 1.0) / 2.0
+    return (1.0 + label.sign * math.cos(wrap_delta(label.axis, b))) / 2.0
 
 
 def measure_single(
@@ -50,29 +51,15 @@ def measure_single(
     return sign, Hemisphere(b, sign)
 
 
-def epr_trial(rng: np.random.Generator, a: Axis, b: Axis) -> tuple:
-    """One two-particle trial: particle 1 along a, particle 2 along b.
+def sample_trial_counts(rng: np.random.Generator, a: Axis, b: Axis, n: int) -> PairCounts:
+    """n trials, particle 1 along a and particle 2 along b, tallied into PairCounts.
 
-    J1 is uniform on the sphere and J2 = -J1.  Particle 1's outcome is the
-    hemisphere of J1 (boundary J1.a = 0 counts as +); particle 2 collapses
-    to the opposite hemisphere ensemble along a and is measured along b by
-    the single-particle law.  Returns the outcome signs of particles 1 and 2.
+    J1 is uniform on the sphere and J2 = -J1.  Particle 1's outcome s1 is
+    J1's hemisphere along a (J1.a = 0 counts as +), and particle 2 is
+    measured along b under the opposite ensemble Hemisphere(a, -s1).
     """
-    j1 = sample_unit_vectors(rng, 1)[0]
-    s1 = 1 if Hemisphere(a, 1).contains(j1) else -1
-    s2 = 1 if rng.random() < single_measure_prob(Hemisphere(a, -s1), b) else -1
-    return s1, s2
-
-
-def sample_trial_counts(
-    rng: np.random.Generator, a: Axis, b: Axis, n: int
-) -> PairCounts:
-    """Vectorized batch of epr_trial outcomes tallied into PairCounts."""
-    # partner ensemble is Hemisphere(a, -s1): P(+) = (1 - s1 * cos d) / 2
-    cos_d = math.cos(wrap_delta(a, b))
-    plus1, plus2 = hemisphere_pair_signs(
-        rng, a.unit_vector, (1.0 - cos_d) / 2.0, (1.0 + cos_d) / 2.0, n
-    )
+    p_if_plus, p_if_minus = (single_measure_prob(Hemisphere(a, -s1), b) for s1 in (1, -1))
+    plus1, plus2 = hemisphere_pair_signs(rng, a.unit_vector, p_if_plus, p_if_minus, n)
     return counts_from_signs(plus1, plus2)
 
 

@@ -1,10 +1,10 @@
 """Model 2: hemifields on spheres, measurement as field rotation.
 
 A single spin-1/2 is a unit sphere carrying a scalar field supported on
-one hemisphere (value = projection on the hemisphere axis, Eq.-style
-r.a/pi with radius 1) plus a point particle that must sit inside the
-field's support.  A field is therefore its support ``Hemisphere``.  A
-measurement along b rotates the field toward the apparatus axes.
+one hemisphere, of value r.a/pi at a point r of the support centred on a
+(radius 1), plus a point particle that must sit inside the support.  A
+field is therefore its support ``Hemisphere``.  A measurement along b
+rotates the field toward the apparatus axes.
 
 One half-angle amplitude carries every prediction: ``decompose_field``
 rewrites a field on the two hemispheres of any axis u, and its
@@ -12,8 +12,8 @@ coefficients are the amplitudes of the outcomes +1/2 and -1/2 along u.
 A measurement along b is fixed by one number, P(+1/2), the square of the
 amplitude of +1/2, so a + field along a gives
 P(+1/2) = cos((theta_b - theta_a)/2)**2, and P(-1/2) is 1 - P(+1/2).
-``field_value`` states the field pointwise; no prediction reads it: particle
-membership is ``Hemisphere.contains``, and the oracles integrate their own.
+No prediction reads the field's pointwise value: particle membership is
+``Hemisphere.contains``, and the oracles integrate their own.
 
 Fields superpose linearly, and superpositions on different hemispheres
 can give identical predictions along every axis: an equivalence class.
@@ -58,31 +58,16 @@ class FieldSuperposition:
         object.__setattr__(self, "terms", terms)
 
 
-def field_value(f: Hemisphere, r: np.ndarray) -> float:
-    """Pointwise value at a surface point r of the hemifield supported on f."""
-    r = np.asarray(r, dtype=float)
-    if not f.contains(r):
-        return 0.0
-    center = Axis(f.effective_angle)
-    return float(r @ center.unit_vector) / math.pi
-
-
-def hemi_average(field_axis: Axis, average_hemisphere: Hemisphere) -> float:
-    """Mean of the full projection field r.f/pi over a hemisphere.
-
-    Equals cos(theta_field - theta_hemisphere) exactly; numeric surface
-    quadrature reproduces it to 1e-6 (see the oracle suite).
-    """
-    return math.cos(field_axis.theta - average_hemisphere.effective_angle)
-
-
 def decompose_field(field: Hemisphere, u: Axis) -> tuple:
     """The half-angle amplitudes (c_plus, c_minus) of a hemifield along u.
 
     F ~ c_plus F(+u) + c_minus F(-u), so F(+a) gives cos and sin of
     (theta_u - theta_a)/2.  The coefficients compose under repeated
     rewriting by the half-angle addition rules, and their squares are
-    the outcome probabilities along u.
+    the outcome probabilities along u.  They read the label, not only the
+    set: Hemisphere(a, -1) and Hemisphere(a + pi, 1) are one support but
+    get opposite amplitudes, so a superposition's predictions depend on
+    which label each term is written with.
     """
     half = (u.theta - field.axis.theta) / 2.0
     if field.sign > 0:
@@ -142,36 +127,14 @@ def two_party_prob(label: Axis, c: Axis, b: Axis, c1: int, b2: int) -> float:
     return amplitude**2 / 2.0
 
 
-def conditional_inference(label: Axis, measured_axis: Axis, a1: int, b: Axis) -> float:
-    """P(B2 = +1/2 | A1) when the first measurement is unperturbing.
-
-    Valid only when the field representative is labeled by the measured
-    axis, in which case the first outcome reveals the particle hemisphere
-    and the partner's field reduces to the opposite single hemifield.
-    """
-    if abs(wrap_delta(label, measured_axis)) > 1e-12:
-        raise ValueError("inference undefined: field label does not match measured axis")
-    return measure_prob_single(Hemisphere(label, -a1), b)
-
-
-def epr_trial_model2(rng: np.random.Generator, first_axis: Axis, second_axis: Axis) -> tuple:
-    """One two-particle trial, outcome signs (s1, s2), labeled by first_axis.
-
-    r1 is uniform with r2 = -r1; the first outcome is r1's hemisphere
-    along first_axis (no perturbation), the second is drawn from the
-    conditional single-subsystem law.
-    """
-    r1 = sample_unit_vectors(rng, 1)[0]
-    s1 = 1 if Hemisphere(first_axis, 1).contains(r1) else -1
-    p_plus = conditional_inference(first_axis, first_axis, s1, second_axis)
-    s2 = 1 if rng.random() < p_plus else -1
-    return s1, s2
-
-
 def sample_trial_counts(
     rng: np.random.Generator, first_axis: Axis, second_axis: Axis, n: int
 ) -> PairCounts:
-    """Vectorized batch of epr_trial_model2 outcomes."""
+    """n trials, labelled by first_axis a so that the first measurement does not disturb the pair.
+
+    r1 is uniform with r2 = -r1, and the first outcome s1 is r1's
+    hemisphere along a.  The partner's field is then Hemisphere(a, -s1).
+    """
     half = wrap_delta(first_axis, second_axis) / 2.0
     # partner field is Hemisphere(a, -s1): P(+) = sin^2 for s1=+1, cos^2 for s1=-1
     plus1, plus2 = hemisphere_pair_signs(

@@ -58,8 +58,8 @@ def circle_quadratures(overlaps, deltas, n: int = 2_000_000) -> tuple[list[float
     """Half-circle overlaps and sign-rule expectations from one walk of the n-point grid.
 
     Returns (overlap per (theta_a, theta_b) in `overlaps`, expectation per
-    delta in `deltas`), the values ``half_circle_overlap_quadrature`` and
-    ``sign_model_expectation_quadrature`` give.  Each block computes
+    delta in `deltas`); ``half_circle_overlap_quadrature`` is the
+    one-overlap form.  Each block computes
     ``np.cos(lam - theta) >= 0.0`` once per distinct angle; the sign rule's
     particle 1 reads theta = 0.0, and lam - 0.0 is lam.
     """
@@ -91,11 +91,6 @@ def circle_quadratures(overlaps, deltas, n: int = 2_000_000) -> tuple[list[float
 def half_circle_overlap_quadrature(theta_a: float, theta_b: float, n: int = 2_000_000) -> float:
     """Share of the circle where cos(lam - theta_a) and cos(lam - theta_b) are both >= 0."""
     return circle_quadratures([(theta_a, theta_b)], (), n)[0][0]
-
-
-def sign_model_expectation_quadrature(delta: float, n: int = 2_000_000) -> float:
-    """Deterministic sign-rule expectation by direct angular quadrature (see circle_quadratures)."""
-    return circle_quadratures((), [delta], n)[1][0]
 
 
 def hemisphere_conditional_fraction(n: int, rng) -> float:

@@ -111,9 +111,8 @@ class TestSignIndex:
             lambda s: singlet_joint_probability(1, Axis(0.0), s, Axis(1.0)),
             lambda s: model2.two_party_prob(Axis(0.3), Axis(0.0), Axis(1.0), s, 1),
             lambda s: model2.two_party_prob(Axis(0.3), Axis(0.0), Axis(1.0), 1, s),
-            lambda s: model2.conditional_inference(Axis(0.3), Axis(0.3), s, Axis(1.0)),
         ],
-        ids=["sign_index", "singlet_a1", "singlet_b2", "two_party_c1", "two_party_b2", "inference"],
+        ids=["sign_index", "singlet_a1", "singlet_b2", "two_party_c1", "two_party_b2"],
     )
     def test_only_unit_signs(self, call, sign):
         with pytest.raises(ValueError, match="sign must be"):

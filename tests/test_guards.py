@@ -55,11 +55,11 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
          ValueError, "trial count must be positive"),
         (lambda: chsh_operator(A, B, A, B, sign_choice=0), ValueError, "sign_choice must be"),
         (lambda: cli._parse_axes("0,1,2,x"), cli.UsageError, "bad angle in --axes"),
-        (lambda: oracles.sign_model_expectation_quadrature(0.5, 0), ValueError,
+        (lambda: oracles.circle_quadratures((), [0.5], 0), ValueError,
          "quadrature needs n >= 1"),
         (lambda: oracles.circle_quadratures([(0.0, 1.0)], (), True), ValueError,
          "quadrature needs n >= 1 grid points and an int, got n=True"),
-        (lambda: oracles.sign_model_expectation_quadrature(0.5, 10.0), ValueError,
+        (lambda: oracles.circle_quadratures((), [0.5], 10.0), ValueError,
          "quadrature needs n >= 1 grid points and an int, got n=10.0"),
         (lambda: oracles.half_circle_overlap_quadrature(math.nan, 0.0), ValueError,
          "quadrature angles must be finite"),

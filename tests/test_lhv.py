@@ -33,10 +33,7 @@ from bellfoundry.lhv import (
     wigner_inequality_check,
     wigner_measure,
 )
-from bellfoundry.oracles import (
-    half_circle_overlap_quadrature,
-    sign_model_expectation_quadrature,
-)
+from bellfoundry.oracles import circle_quadratures, half_circle_overlap_quadrature
 from bellfoundry.quantum import singlet_joint_probability
 from bellfoundry.rng import substream
 
@@ -98,7 +95,7 @@ class TestDeterministicSignModel:
             est = model_expectation(model, a, b, 1_000_000, rng)
             analytic = sign_model_expectation_analytic(a, b)
             assert analytic == pytest.approx(
-                sign_model_expectation_quadrature(delta), abs=1e-5
+                circle_quadratures((), [delta])[1][0], abs=1e-5
             )
             assert abs(est.value - analytic) < 5 * est.std_error
 
@@ -368,12 +365,6 @@ class TestBatchedJointDistribution:
     def test_wrong_trailing_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="shape"):
             joint_distribution_chsh(np.full(shape, 1.0 / np.prod(shape[-4:])))
-
-    def test_single_distribution_returns_a_python_float(self):
-        # ``oracle`` prints with repr, which shows an np.float64 as np.float64(...)
-        f = substream(42).dirichlet(np.ones(16)).reshape(2, 2, 2, 2)
-        assert type(joint_distribution_chsh(f)) is float
-        assert joint_distribution_chsh(f) == _joint_chsh_per_distribution(f)
 
 
 class TestJointDistribution:

@@ -1,23 +1,15 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from bellfoundry import model1
-from bellfoundry.geometry import (
-    Axis,
-    counts_from_signs,
-    empirical_expectation,
-    wrap_delta,
-)
+from bellfoundry.geometry import Axis, counts_from_signs, wrap_delta
 from bellfoundry.model2 import (
     FieldSuperposition,
     Hemisphere,
-    conditional_inference,
     decompose_field,
-    epr_trial_model2,
-    field_value,
-    hemi_average,
     measure_prob_single,
     measure_sphere,
     predictions_equal,
@@ -26,31 +18,10 @@ from bellfoundry.model2 import (
     superposition_probabilities,
     two_party_prob,
 )
-from bellfoundry.oracles import hemi_average_quadrature
 from bellfoundry.quantum import spin_operator
 from bellfoundry.rng import substream
 
 GRID = [Axis(k * math.pi / 7) for k in range(14)]
-
-
-class TestHemiField:
-    def test_field_vanishes_off_support(self):
-        f = Hemisphere(Axis(0.0), 1)
-        assert field_value(f, np.array([0.0, 0.0, -1.0])) == 0.0
-
-    def test_field_peaks_at_center(self):
-        f = Hemisphere(Axis(0.0), 1)
-        assert field_value(f, np.array([0.0, 0.0, 1.0])) == pytest.approx(1.0 / math.pi)
-
-    def test_minus_support_is_antipodal(self):
-        f = Hemisphere(Axis(0.0), -1)
-        assert field_value(f, np.array([0.0, 0.0, -1.0])) == pytest.approx(1.0 / math.pi)
-        assert field_value(f, np.array([0.0, 0.0, 1.0])) == 0.0
-
-    def test_hemi_average_matches_quadrature(self):
-        for offset in (0.0, math.pi / 4, 1.1, 2.9):
-            analytic = hemi_average(Axis(0.0), Hemisphere(Axis(offset), 1))
-            assert analytic == pytest.approx(hemi_average_quadrature(offset), abs=1e-6)
 
 
 class TestSingleMeasurement:
@@ -141,19 +112,19 @@ class TestEquivalence:
 
 
 class TestTwoPartyField:
-    def test_conditional_inference_matches_joint(self):
+    def test_kernel_thresholds_match_joint(self):
+        # the kernel's threshold after s1 lies within 1e-12 of
+        # P(s1, +) / P(s1) for the two-party field labeled by a
         rng = substream(76)
         for _ in range(50):
             a, b = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
-            for o1 in (1, -1):
-                p_plus = conditional_inference(a, a, o1, b)
+            for first_sign in (1, -1):
+                trial = partial(kernel_outcomes, sample_trial_counts, a, b, first_sign)
+                s1, _ = trial(0.5)
                 marginal = 0.5  # first outcome is unbiased
-                joint_plus = two_party_prob(a, a, b, o1, 1)
-                assert p_plus == pytest.approx(joint_plus / marginal, abs=1e-12)
-
-    def test_inference_needs_matching_label(self):
-        with pytest.raises(ValueError, match="inference undefined"):
-            conditional_inference(Axis(0.0), Axis(0.3), 1, Axis(1.0))
+                p_plus = two_party_prob(a, a, b, s1, 1) / marginal
+                assert trial(p_plus - 1e-12) == (s1, 1)
+                assert trial(p_plus + 1e-12) == (s1, -1)
 
 
 def eigenprojector(axis, sign):
@@ -213,17 +184,6 @@ class TestEprTrials:
                 got = sample_trial_counts(substream(82, k), a, b, n)
                 assert got == reference_trial_counts(substream(82, k), a, b, n)
 
-    def test_scalar_trial_agrees_with_batch(self):
-        a, b = Axis(0.0), Axis(math.pi / 3)
-        rng = substream(79)
-        n = 20_000
-        signs = np.array(
-            [epr_trial_model2(rng, a, b) for _ in range(n)]
-        )
-        value = (signs[:, 0] * signs[:, 1]).mean() / 4.0
-        est = empirical_expectation(sample_trial_counts(substream(80), a, b, n))
-        assert abs(value - est.value) < 5 * math.sqrt(2) * est.std_error
-
 
 class FixedDraws:
     """A generator stub: sphere points along +z or -z, and uniforms u (a scalar without n)."""
@@ -237,6 +197,14 @@ class FixedDraws:
 
     def random(self, n=None):
         return self.u if n is None else np.full(n, self.u)
+
+
+def kernel_outcomes(sampler, a, b, first_sign, u):
+    """The signs (s1, s2) of one kernel trial on FixedDraws(first_sign, u)."""
+    counts = sampler(FixedDraws(first_sign, u), a, b, 1)
+    cells = {(1, 1): counts.n_pp, (1, -1): counts.n_pm, (-1, 1): counts.n_mp, (-1, -1): counts.n_mm}
+    (signs,) = [pair for pair, count in cells.items() if count]
+    return signs
 
 
 # At this angle the two models' thresholds differ in the last bits:
@@ -262,17 +230,22 @@ class TestThresholdBits:
         sampler = {"model1": model1.sample_trial_counts, "model2": sample_trial_counts}[name]
         threshold = OWN_THRESHOLDS[name][0 if first_sign > 0 else 1]
         a, b = Axis(0.0), Axis(THRESHOLD_DELTA)
+        assert kernel_outcomes(sampler, a, b, first_sign, threshold) == (first_sign, -1)
+        below = math.nextafter(threshold, 0.0)
+        assert kernel_outcomes(sampler, a, b, first_sign, below) == (first_sign, 1)
 
-        def second_is_plus(u):
-            counts = sampler(FixedDraws(first_sign, u), a, b, 1)
-            if first_sign > 0:
-                assert counts.n_pp + counts.n_pm == 1
-                return counts.n_pp == 1
-            assert counts.n_mp + counts.n_mm == 1
-            return counts.n_mp == 1
-
-        assert not second_is_plus(threshold)
-        assert second_is_plus(math.nextafter(threshold, 0.0))
+    def test_model1_kernel_reads_the_single_particle_law(self):
+        # particle 2 flips exactly at single_measure_prob(Hemisphere(a, -s1), b),
+        # also where theta_b - theta_a must be wrapped (|difference| > pi)
+        rng = substream(78)
+        for _ in range(50):
+            a, b = (Axis(t) for t in rng.uniform(-2 * math.pi, 4 * math.pi, size=2))
+            for first_sign in (1, -1):
+                trial = partial(kernel_outcomes, model1.sample_trial_counts, a, b, first_sign)
+                s1, _ = trial(0.5)
+                p = model1.single_measure_prob(Hemisphere(a, -s1), b)
+                assert trial(math.nextafter(p, 0.0)) == (s1, 1)
+                assert trial(p) == (s1, -1)
 
 
 class TestSingleSphereSequence:

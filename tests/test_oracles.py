@@ -8,7 +8,6 @@ from bellfoundry.oracles import (
     _lambda_blocks,
     circle_quadratures,
     half_circle_overlap_quadrature,
-    sign_model_expectation_quadrature,
 )
 from bellfoundry.rng import substream
 
@@ -48,7 +47,7 @@ class TestBlockedQuadrature:
             assert half_circle_overlap_quadrature(theta_a, theta_b, n) == whole_grid_overlap(
                 theta_a, theta_b, n
             )
-            assert sign_model_expectation_quadrature(delta, n) == whole_grid_sign_expectation(
+            assert circle_quadratures((), [delta], n)[1][0] == whole_grid_sign_expectation(
                 delta, n
             )
 
@@ -68,14 +67,14 @@ class TestBlockedQuadrature:
             assert half_circle_overlap_quadrature(theta_a, theta_b, n) == whole_grid_overlap(
                 theta_a, theta_b, n
             )
-            assert sign_model_expectation_quadrature(delta, n) == whole_grid_sign_expectation(
+            assert circle_quadratures((), [delta], n)[1][0] == whole_grid_sign_expectation(
                 delta, n
             )
 
     def test_closed_form_angles(self):
         n = 3 * QUADRATURE_BLOCK + 7
         for delta in (0.0, math.pi / 4.0, math.pi / 2.0, math.pi, -math.pi):
-            assert sign_model_expectation_quadrature(delta, n) == whole_grid_sign_expectation(
+            assert circle_quadratures((), [delta], n)[1][0] == whole_grid_sign_expectation(
                 delta, n
             )
             assert half_circle_overlap_quadrature(0.0, delta, n) == whole_grid_overlap(0.0, delta, n)
@@ -98,7 +97,7 @@ class TestFusedWalk:
             assert overlap == half_circle_overlap_quadrature(theta_a, theta_b, n)
             assert overlap == whole_grid_overlap(theta_a, theta_b, n)
         for delta, expectation in zip(FUSED_DELTAS, expectations, strict=True):
-            assert expectation == sign_model_expectation_quadrature(delta, n)
+            assert expectation == circle_quadratures((), [delta], n)[1][0]
             assert expectation == whole_grid_sign_expectation(delta, n)
 
     def test_each_distinct_cosine_once_per_block(self, monkeypatch):
@@ -115,7 +114,7 @@ class TestFusedWalk:
         # filterwarnings = error: a RuntimeWarning from np.cos would fail this too
         for call in (
             lambda: half_circle_overlap_quadrature(0.0, bad, 10),
-            lambda: sign_model_expectation_quadrature(bad, 10),
+            lambda: circle_quadratures((), [bad], 10)[1][0],
         ):
             with pytest.raises(ValueError, match="quadrature angles must be finite"):
                 call()
