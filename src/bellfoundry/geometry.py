@@ -176,20 +176,14 @@ def _raw_sign_is_exact(v: np.ndarray, t: np.ndarray, a_unit: np.ndarray) -> bool
     return m <= 2.0**500 and np.abs(t).min() > 2.0**-48 * np.abs(a_unit).sum() * m + 2.0**-500
 
 
-def hemisphere_pair_signs(
-    rng: np.random.Generator,
-    a_unit: np.ndarray,
-    p_plus_if_plus: float,
-    p_plus_if_minus: float,
-    n: int,
-) -> tuple:
-    """Boolean "+" masks of n two-particle trials, the first a hemisphere outcome along a.
+def hemisphere_pair_signs(rng: np.random.Generator, a: Axis, b: Axis, n: int, law) -> tuple:
+    """Boolean "+" masks of n EPR trials, particle 1 along a and particle 2 along b.
 
-    The first outcome is the hemisphere of a uniform unit vector along
-    ``a_unit`` (boundary counts as +); the second is + with probability
-    ``p_plus_if_plus`` or ``p_plus_if_minus`` given the first.  Both EPR
-    models share this law and its RNG consumption: the sphere draw, then
-    one uniform per trial.
+    Particle 1's outcome s1 is the hemisphere of a uniform unit vector
+    along a (boundary counts as +).  Particle 2 is then + with probability
+    ``law(Hemisphere(a, -s1), b)``: its model's single-particle P(+1/2)
+    under the partner's ensemble or field.  Both EPR models share this
+    rule and its RNG consumption: the sphere draw, then one uniform each.
 
     The hemisphere is that of the normalized draw, ``(v / |v|) @ a_unit
     >= 0``, but it is read from the raw Gaussians v when
@@ -198,6 +192,8 @@ def hemisphere_pair_signs(
     batch takes the normalized route on the same v.  A random batch of
     65,536 reaches the guard band about once in 10**9.
     """
+    p_if_plus, p_if_minus = (law(Hemisphere(a, -s1), b) for s1 in (1, -1))
+    a_unit = a.unit_vector
     v = rng.standard_normal((n, 3))
     t = v @ a_unit
     if n and _raw_sign_is_exact(v, t, a_unit):
@@ -205,7 +201,7 @@ def hemisphere_pair_signs(
     else:
         plus1 = v / np.linalg.norm(v, axis=1, keepdims=True) @ a_unit >= 0.0
     u = rng.random(n)
-    plus2 = np.where(plus1, u < p_plus_if_plus, u < p_plus_if_minus)
+    plus2 = np.where(plus1, u < p_if_plus, u < p_if_minus)
     return plus1, plus2
 
 

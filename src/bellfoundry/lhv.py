@@ -28,6 +28,7 @@ from .geometry import (
     wrap_angle,
     wrap_delta,
 )
+from .quantum import singlet_joint_probability
 
 # cos changes sign between each of these doubles and the next one up:
 # cos(fl(pi/2)) = +6.1e-17 and cos(fl(3pi/2)) = -1.8e-16.
@@ -370,14 +371,13 @@ def wigner_inequality_check(
 def quantum_wigner_violation(a: Axis, ap: Axis, b: Axis) -> tuple:
     """Evaluate the set-measure inequality with singlet probabilities.
 
-    lhs = cos((theta_b - theta_a')/2)**2,
+    Each measure M(+x & s y) is 2 P(+x, -s y), twice a cell of the
+    singlet's joint table: lhs = cos((theta_b - theta_a')/2)**2 and
     rhs = cos((theta_b - theta_a)/2)**2 - sin((theta_a - theta_a')/2)**2.
     Returns (lhs, rhs, violated); the inequality fails e.g. for coplanar
     angles 0 <= theta_b < theta_a < theta_a' <= pi/2.
     """
-    lhs = math.cos((b.theta - ap.theta) / 2.0) ** 2
-    rhs = (
-        math.cos((b.theta - a.theta) / 2.0) ** 2
-        - math.sin((a.theta - ap.theta) / 2.0) ** 2
-    )
+    lhs = 2.0 * singlet_joint_probability(1, ap, -1, b)
+    rhs = 2.0 * singlet_joint_probability(1, a, -1, b)
+    rhs -= 2.0 * singlet_joint_probability(1, a, 1, ap)
     return lhs, rhs, lhs < rhs

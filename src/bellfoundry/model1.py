@@ -58,9 +58,7 @@ def sample_trial_counts(rng: np.random.Generator, a: Axis, b: Axis, n: int) -> P
     J1's hemisphere along a (J1.a = 0 counts as +), and particle 2 is
     measured along b under the opposite ensemble Hemisphere(a, -s1).
     """
-    p_if_plus, p_if_minus = (single_measure_prob(Hemisphere(a, -s1), b) for s1 in (1, -1))
-    plus1, plus2 = hemisphere_pair_signs(rng, a.unit_vector, p_if_plus, p_if_minus, n)
-    return counts_from_signs(plus1, plus2)
+    return counts_from_signs(*hemisphere_pair_signs(rng, a, b, n, single_measure_prob))
 
 
 def pointwise_rule_expectation(a: Axis, b: Axis) -> float:

@@ -10,8 +10,11 @@ One half-angle amplitude carries every prediction: ``decompose_field``
 rewrites a field on the two hemispheres of any axis u, and its
 coefficients are the amplitudes of the outcomes +1/2 and -1/2 along u.
 A measurement along b is fixed by one number, P(+1/2), the square of the
-amplitude of +1/2, so a + field along a gives
-P(+1/2) = cos((theta_b - theta_a)/2)**2, and P(-1/2) is 1 - P(+1/2).
+amplitude of +1/2: a + field along a gives P(+1/2) = cos(d/2)**2 for
+d = theta_b - theta_a, and P(-1/2) is 1 - P(+1/2).  The square has
+period 2 pi in d, so ``measure_prob_single`` wraps d to (-pi, pi] like
+every other law here.  The amplitudes have period 4 pi, and a
+superposition reads their signs, so ``decompose_field`` keeps d unwrapped.
 No prediction reads the field's pointwise value: particle membership is
 ``Hemisphere.contains``, and the oracles integrate their own.
 
@@ -58,6 +61,13 @@ class FieldSuperposition:
         object.__setattr__(self, "terms", terms)
 
 
+def _amplitudes(sign: int, half: float) -> tuple:
+    """(c_plus, c_minus) along u of a field of this sign, half = (theta_u - theta_a)/2."""
+    if sign > 0:
+        return math.cos(half), math.sin(half)
+    return -math.sin(half), math.cos(half)
+
+
 def decompose_field(field: Hemisphere, u: Axis) -> tuple:
     """The half-angle amplitudes (c_plus, c_minus) of a hemifield along u.
 
@@ -69,10 +79,7 @@ def decompose_field(field: Hemisphere, u: Axis) -> tuple:
     get opposite amplitudes, so a superposition's predictions depend on
     which label each term is written with.
     """
-    half = (u.theta - field.axis.theta) / 2.0
-    if field.sign > 0:
-        return math.cos(half), math.sin(half)
-    return -math.sin(half), math.cos(half)
+    return _amplitudes(field.sign, (u.theta - field.axis.theta) / 2.0)
 
 
 def measure_prob_single(initial: Hemisphere, b: Axis) -> float:
@@ -81,7 +88,7 @@ def measure_prob_single(initial: Hemisphere, b: Axis) -> float:
     The apparatus rotates the field toward the measurement axes; the
     outcome's probability is its squared amplitude along b.
     """
-    return decompose_field(initial, b)[0] ** 2
+    return _amplitudes(initial.sign, wrap_delta(initial.axis, b) / 2.0)[0] ** 2
 
 
 def superposition_probabilities(f: FieldSuperposition, b: Axis) -> float:
@@ -127,20 +134,13 @@ def two_party_prob(label: Axis, c: Axis, b: Axis, c1: int, b2: int) -> float:
     return amplitude**2 / 2.0
 
 
-def sample_trial_counts(
-    rng: np.random.Generator, first_axis: Axis, second_axis: Axis, n: int
-) -> PairCounts:
-    """n trials, labelled by first_axis a so that the first measurement does not disturb the pair.
+def sample_trial_counts(rng: np.random.Generator, a: Axis, b: Axis, n: int) -> PairCounts:
+    """n trials, labelled by a so that the first measurement does not disturb the pair.
 
     r1 is uniform with r2 = -r1, and the first outcome s1 is r1's
     hemisphere along a.  The partner's field is then Hemisphere(a, -s1).
     """
-    half = wrap_delta(first_axis, second_axis) / 2.0
-    # partner field is Hemisphere(a, -s1): P(+) = sin^2 for s1=+1, cos^2 for s1=-1
-    plus1, plus2 = hemisphere_pair_signs(
-        rng, first_axis.unit_vector, math.sin(half) ** 2, math.cos(half) ** 2, n
-    )
-    return counts_from_signs(plus1, plus2)
+    return counts_from_signs(*hemisphere_pair_signs(rng, a, b, n, measure_prob_single))
 
 
 @dataclass(frozen=True)

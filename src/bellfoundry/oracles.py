@@ -94,10 +94,10 @@ def half_circle_overlap_quadrature(theta_a: float, theta_b: float, n: int = 2_00
 
 
 def hemisphere_conditional_fraction(n: int, rng) -> float:
-    """P(J.b > 0 | J.a > 0) for uniform sphere points; brute-force sampler.
+    """P(J.b >= 0 | J.a >= 0) for uniform sphere points; brute-force sampler.
 
-    Caller supplies the axis geometry by rotating afterwards; this uses
-    a = z and b at pi/4 in the x-z plane as the canonical probe.
+    The geometry is fixed: a = z and b at pi/4 in the x-z plane, the
+    probe of Model 1's pointwise-rule check.
     """
     if n < 1:
         raise ValueError("the conditional fraction needs n >= 1 samples")

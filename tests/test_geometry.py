@@ -210,10 +210,15 @@ def normalized_route(rng, a_unit, p_plus_if_plus, p_plus_if_minus, n):
     return plus1, np.where(plus1, u < p_plus_if_plus, u < p_plus_if_minus)
 
 
-def assert_kernel_equals_normalized_route(rng_factory, a_unit, n):
+def stub_law(label, b):
+    """A constant single-particle law: 0.3 under Hemisphere(a, -1), 0.8 under Hemisphere(a, +1)."""
+    return 0.3 if label.sign < 0 else 0.8
+
+
+def assert_kernel_equals_normalized_route(rng_factory, a, n):
     with np.errstate(all="ignore"):  # zero, tiny, huge and NaN rows warn on either route
-        got = hemisphere_pair_signs(rng_factory(), a_unit, 0.3, 0.8, n)
-        expected = normalized_route(rng_factory(), a_unit, 0.3, 0.8, n)
+        got = hemisphere_pair_signs(rng_factory(), a, Axis(1.1), n, stub_law)
+        expected = normalized_route(rng_factory(), a.unit_vector, 0.3, 0.8, n)
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
     return expected[0]
@@ -235,13 +240,13 @@ def rows_where_raw_sign_differs(theta, count=64):
 class TestHemispherePairSigns:
     @pytest.mark.parametrize("theta", [0.7, 2.1, 4.0])
     def test_rows_in_the_guard_band_take_the_normalized_sign(self, theta):
-        a = Axis(theta).unit_vector
+        a = Axis(theta)
         rows = rows_where_raw_sign_differs(theta)
         plus1 = assert_kernel_equals_normalized_route(lambda: RowDraws(rows), a, len(rows))
-        assert not np.any(plus1 == (rows @ a >= 0.0))
+        assert not np.any(plus1 == (rows @ a.unit_vector >= 0.0))
 
     def test_one_row_in_the_guard_band_sends_the_whole_batch_to_the_normalized_route(self):
-        a = Axis(0.7).unit_vector
+        a = Axis(0.7)
         rows = substream(9).standard_normal((65_536, 3))
         rows[40_000] = rows_where_raw_sign_differs(0.7, 1)[0]
         assert_kernel_equals_normalized_route(lambda: RowDraws(rows), a, len(rows))
@@ -250,7 +255,7 @@ class TestHemispherePairSigns:
         # boundary rows (dot exactly +-0) count as +; an all-zero row
         # normalizes to NaN and stays -, as it always was
         rows = [[0.3, -1.2, 0.0], [1.0, 0.5, -0.0], [0.0, 0.0, 0.0], [0.2, 0.1, -0.9]]
-        z = Axis(0.0).unit_vector
+        z = Axis(0.0)
         plus1 = assert_kernel_equals_normalized_route(lambda: RowDraws(rows), z, 4)
         assert plus1.tolist() == [True, True, False, False]
 
@@ -267,7 +272,7 @@ class TestHemispherePairSigns:
         ],
     )
     def test_rows_outside_the_proof_take_the_normalized_route(self, row, plus):
-        z = Axis(0.0).unit_vector
+        z = Axis(0.0)
         plus1 = assert_kernel_equals_normalized_route(lambda: RowDraws(row), z, 1)
         assert plus1.tolist() == [plus]
 
@@ -275,7 +280,7 @@ class TestHemispherePairSigns:
     @pytest.mark.parametrize("seed", [1, 90210])
     def test_random_batches_equal_the_normalized_route(self, theta, seed):
         assert_kernel_equals_normalized_route(
-            lambda: substream(seed, 4), Axis(theta).unit_vector, 65_536
+            lambda: substream(seed, 4), Axis(theta), 65_536
         )
 
     def test_random_batches_skip_the_normalization(self, monkeypatch):
@@ -284,7 +289,7 @@ class TestHemispherePairSigns:
 
         monkeypatch.setattr(np.linalg, "norm", normalization_called)
         for theta in (0.0, math.pi / 2, 5e-324, 2.1):
-            hemisphere_pair_signs(substream(3, 4), Axis(theta).unit_vector, 0.3, 0.8, 65_536)
+            hemisphere_pair_signs(substream(3, 4), Axis(theta), Axis(1.1), 65_536, stub_law)
 
     @pytest.mark.parametrize("sampler", [model1.sample_trial_counts, model2.sample_trial_counts])
     def test_empty_batch(self, sampler):

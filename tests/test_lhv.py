@@ -34,7 +34,6 @@ from bellfoundry.lhv import (
     wigner_measure,
 )
 from bellfoundry.oracles import circle_quadratures, half_circle_overlap_quadrature
-from bellfoundry.quantum import singlet_joint_probability
 from bellfoundry.rng import substream
 
 
@@ -561,14 +560,16 @@ class TestQuantumWignerViolation:
         assert lhs == 1.0 and rhs == 1.0 and not violated
 
     def test_terms_match_singlet_conditionals(self):
-        # the lhs/rhs terms are scaled singlet joint probabilities
+        # the lhs/rhs terms, read from singlet_joint_table, against the
+        # half-angle formulas written out here
         rng = substream(48)
         for _ in range(100):
             a, ap, b = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=3))
             lhs, rhs, _ = quantum_wigner_violation(a, ap, b)
-            lhs_q = 2 * singlet_joint_probability(1, ap, -1, b)
-            rhs_q = 2 * singlet_joint_probability(1, a, -1, b) - 2 * singlet_joint_probability(
-                1, a, 1, ap
+            lhs_q = math.cos((b.theta - ap.theta) / 2.0) ** 2
+            rhs_q = (
+                math.cos((b.theta - a.theta) / 2.0) ** 2
+                - math.sin((a.theta - ap.theta) / 2.0) ** 2
             )
             assert lhs == pytest.approx(lhs_q, abs=1e-12)
             assert rhs == pytest.approx(rhs_q, abs=1e-12)

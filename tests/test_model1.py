@@ -1,14 +1,12 @@
 import math
 
-import numpy as np
 import pytest
 
-from bellfoundry.geometry import Axis, Hemisphere, counts_from_signs, wrap_delta
+from bellfoundry.geometry import Axis, Hemisphere
 from bellfoundry.model1 import (
     measure_single,
     pointwise_rule_expectation,
     sample_pointwise_rule_counts,
-    sample_trial_counts,
     single_measure_prob,
 )
 from bellfoundry.oracles import hemi_average_quadrature, hemisphere_conditional_fraction
@@ -42,29 +40,6 @@ class TestEnsembleLaw:
         assert isinstance(label, Hemisphere)
         assert label.axis.theta == pytest.approx(0.7)
         assert label.sign == outcome
-
-
-REFERENCE_PAIRS = [(0.0, 0.0), (0.3, 1.1), (5.9, 4.2), (0.0, math.pi), (2.0, 2.0 + math.pi / 2)]
-
-
-def reference_trial_counts(rng, a, b, n):
-    """The batch law written out with +-1 sign arrays and a per-trial threshold array."""
-    j = rng.standard_normal((n, 3))
-    j = j / np.linalg.norm(j, axis=1, keepdims=True)
-    s1 = np.where(j @ a.unit_vector >= 0.0, 1, -1)
-    p_plus = (1.0 - s1 * math.cos(wrap_delta(a, b))) / 2.0
-    s2 = np.where(rng.random(n) < p_plus, 1, -1)
-    return counts_from_signs(s1, s2)
-
-
-class TestEprTrials:
-    def test_batch_equals_reference_law(self):
-        for k, (ta, tb) in enumerate(REFERENCE_PAIRS):
-            for n in (1, 999, 65_536):
-                a, b = Axis(ta), Axis(tb)
-                got = sample_trial_counts(substream(61, k), a, b, n)
-                expected = reference_trial_counts(substream(61, k), a, b, n)
-                assert got == expected
 
 
 class TestPointwiseRuleCheck:

@@ -165,24 +165,41 @@ class TestBornRule:
 REFERENCE_PAIRS = [(0.0, 0.0), (0.3, 1.1), (5.9, 4.2), (0.0, math.pi), (2.0, 2.0 + math.pi / 2)]
 
 
-def reference_trial_counts(rng, a, b, n):
+def model1_partner_plus(s1, a, b):
+    """Model 1's P(particle 2 = +) after the +-1 signs s1: (1 -+ cos d)/2."""
+    return (1.0 - s1 * math.cos(wrap_delta(a, b))) / 2.0
+
+
+def model2_partner_plus(s1, a, b):
+    """Model 2's P(particle 2 = +) after the +-1 signs s1: sin^2 or cos^2 of d/2."""
+    half = wrap_delta(a, b) / 2.0
+    return np.where(s1 > 0, math.sin(half) ** 2, math.cos(half) ** 2)
+
+
+def reference_trial_counts(rng, a, b, n, partner_plus):
     """The batch law written out with +-1 sign arrays and a per-trial threshold array."""
     r1 = rng.standard_normal((n, 3))
     r1 = r1 / np.linalg.norm(r1, axis=1, keepdims=True)
     s1 = np.where(r1 @ a.unit_vector >= 0.0, 1, -1)
-    half = wrap_delta(a, b) / 2.0
-    p_plus = np.where(s1 > 0, math.sin(half) ** 2, math.cos(half) ** 2)
-    s2 = np.where(rng.random(n) < p_plus, 1, -1)
+    s2 = np.where(rng.random(n) < partner_plus(s1, a, b), 1, -1)
     return counts_from_signs(s1, s2)
 
 
 class TestEprTrials:
-    def test_batch_equals_reference_law(self):
+    @pytest.mark.parametrize(
+        "sampler, partner_plus, seed",
+        [
+            (model1.sample_trial_counts, model1_partner_plus, 61),
+            (sample_trial_counts, model2_partner_plus, 82),
+        ],
+        ids=["model1", "model2"],
+    )
+    def test_batch_equals_the_written_out_law(self, sampler, partner_plus, seed):
         for k, (ta, tb) in enumerate(REFERENCE_PAIRS):
             for n in (1, 999, 65_536):
                 a, b = Axis(ta), Axis(tb)
-                got = sample_trial_counts(substream(82, k), a, b, n)
-                assert got == reference_trial_counts(substream(82, k), a, b, n)
+                got = sampler(substream(seed, k), a, b, n)
+                assert got == reference_trial_counts(substream(seed, k), a, b, n, partner_plus)
 
 
 class FixedDraws:
@@ -234,18 +251,40 @@ class TestThresholdBits:
         below = math.nextafter(threshold, 0.0)
         assert kernel_outcomes(sampler, a, b, first_sign, below) == (first_sign, 1)
 
-    def test_model1_kernel_reads_the_single_particle_law(self):
-        # particle 2 flips exactly at single_measure_prob(Hemisphere(a, -s1), b),
-        # also where theta_b - theta_a must be wrapped (|difference| > pi)
+    @pytest.mark.parametrize(
+        "sampler, law",
+        [
+            (model1.sample_trial_counts, model1.single_measure_prob),
+            (sample_trial_counts, measure_prob_single),
+        ],
+        ids=["model1", "model2"],
+    )
+    def test_kernel_reads_the_single_particle_law(self, sampler, law):
+        # particle 2 flips exactly at law(Hemisphere(a, -s1), b), the model's
+        # own single-particle law, also where theta_b - theta_a must be
+        # wrapped (|difference| > pi)
         rng = substream(78)
         for _ in range(50):
             a, b = (Axis(t) for t in rng.uniform(-2 * math.pi, 4 * math.pi, size=2))
             for first_sign in (1, -1):
-                trial = partial(kernel_outcomes, model1.sample_trial_counts, a, b, first_sign)
+                trial = partial(kernel_outcomes, sampler, a, b, first_sign)
                 s1, _ = trial(0.5)
-                p = model1.single_measure_prob(Hemisphere(a, -s1), b)
+                p = law(Hemisphere(a, -s1), b)
                 assert trial(math.nextafter(p, 0.0)) == (s1, 1)
                 assert trial(p) == (s1, -1)
+
+    def test_both_laws_read_the_wrapped_difference(self):
+        # each single-particle law, bit for bit, against its formula at the
+        # difference wrapped by math.remainder; many pairs lie more than pi apart
+        rng = substream(79)
+        for _ in range(200):
+            a, b = (Axis(t) for t in rng.uniform(-2 * math.pi, 4 * math.pi, size=2))
+            r = math.remainder(b.theta - a.theta, 2 * math.pi)
+            for s in (1, -1):
+                model1_law = (1 + s * math.cos(r)) / 2
+                model2_law = (math.cos(r / 2) if s > 0 else math.sin(r / 2)) ** 2
+                assert model1.single_measure_prob(Hemisphere(a, s), b) == model1_law
+                assert measure_prob_single(Hemisphere(a, s), b) == model2_law
 
 
 class TestSingleSphereSequence:
