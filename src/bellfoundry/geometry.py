@@ -72,7 +72,10 @@ class Hemisphere:
         return self.axis.theta + (0.0 if self.sign > 0 else math.pi)
 
     def contains(self, r: np.ndarray) -> np.ndarray:
-        """Membership of a point, or of each row of an (n, 3) array; NaN is in neither."""
+        """Membership of a direction, a vector of any length, or of each row of an (n, 3) array.
+
+        NaN is in neither hemisphere.
+        """
         proj = np.asarray(r) @ self.axis.unit_vector
         return proj >= 0.0 if self.sign > 0 else proj < 0.0
 
@@ -146,60 +149,20 @@ def sample_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _raw_sign_is_exact(v: np.ndarray, t: np.ndarray, a_unit: np.ndarray) -> bool:
-    """True when ``t >= 0`` provably equals ``(v / |v|) @ a_unit >= 0`` on every row.
-
-    ``t`` is ``v @ a_unit`` for a nonempty (n, 3) ``v`` and a unit vector
-    ``a_unit``.  Let u = 2**-53, gamma_3 = 3u / (1 - 3u), eta = 2**-1075
-    (the underflow error of one product), M = max|v|, A = sum|a_i| <= 2,
-    and per row x = sum v_i a_i exactly and S = sum|v_i a_i| <= A M.  The
-    test is M <= 2**500 and, on every row, |t| > tau = 2**-48 A M + 2**-500,
-    where tau, even rounded, exceeds 31u S + 2**-501.
-
-    - Raw route: a 3-term dot product, fused or not, in any order, has
-      |t - x| <= gamma_3 S + 4 eta, far below tau.  So sign(t) = sign(x)
-      and |x| > (31u - gamma_3) S + 2**-502.
-    - Normalized route: the row's largest |v_i| = m >= |x| / A > 2**-503,
-      so its square is a normal number, and m <= 2**500 keeps the sum of
-      squares finite.  The computed norm r is then positive, at most 2M,
-      and w_i = fl(v_i / r) = (v_i / r)(1 + d_i) + e_i with |d_i| <= u and
-      |e_i| <= eta.  The computed y = fl(w . a) has
-      |r y - x| <= (u + gamma_3)(1 + u) S + 7 r eta < 4.1u S + 2**-570.
-    - That is below the bound on |x|, so r y, y and t are nonzero with the
-      sign of x, and ``t >= 0`` equals ``y >= 0``.
-
-    Zero rows (t = 0), rows with a tiny raw dot (whose squares may
-    underflow) and huge, infinite or NaN elements (M fails the test, NaN
-    compares false) all fail it.
-    """
-    m = max(-v.min(), v.max())
-    return m <= 2.0**500 and np.abs(t).min() > 2.0**-48 * np.abs(a_unit).sum() * m + 2.0**-500
-
-
 def hemisphere_pair_signs(rng: np.random.Generator, a: Axis, b: Axis, n: int, law) -> tuple:
     """Boolean "+" masks of n EPR trials, particle 1 along a and particle 2 along b.
 
-    Particle 1's outcome s1 is the hemisphere of a uniform unit vector
-    along a (boundary counts as +).  Particle 2 is then + with probability
-    ``law(Hemisphere(a, -s1), b)``: its model's single-particle P(+1/2)
-    under the partner's ensemble or field.  Both EPR models share this
-    rule and its RNG consumption: the sphere draw, then one uniform each.
-
-    The hemisphere is that of the normalized draw, ``(v / |v|) @ a_unit
-    >= 0``, but it is read from the raw Gaussians v when
-    ``_raw_sign_is_exact`` proves every row's decision equal; that skips
-    the normalization and its (n, 3) temporaries.  Otherwise the whole
-    batch takes the normalized route on the same v.  A random batch of
-    65,536 reaches the guard band about once in 10**9.
+    Particle 1's outcome s1 is ``Hemisphere(a, 1).contains`` of the raw
+    Gaussian draw: only the draw's direction matters, and it is uniform,
+    so the draw is not normalized.  The boundary r.a = 0 counts as +.
+    Particle 2 is then + with probability ``law(Hemisphere(a, -s1), b)``:
+    its model's single-particle P(+1/2) under the partner's ensemble or
+    field.  Both EPR models share this rule and its RNG consumption: the
+    sphere draw, then one uniform each.
     """
     p_if_plus, p_if_minus = (law(Hemisphere(a, -s1), b) for s1 in (1, -1))
-    a_unit = a.unit_vector
     v = rng.standard_normal((n, 3))
-    t = v @ a_unit
-    if n and _raw_sign_is_exact(v, t, a_unit):
-        plus1 = t >= 0.0
-    else:
-        plus1 = v / np.linalg.norm(v, axis=1, keepdims=True) @ a_unit >= 0.0
+    plus1 = Hemisphere(a, 1).contains(v)
     u = rng.random(n)
     plus2 = np.where(plus1, u < p_if_plus, u < p_if_minus)
     return plus1, plus2

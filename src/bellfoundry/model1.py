@@ -28,7 +28,6 @@ from .geometry import (
     V_MAX,
     counts_from_signs,
     hemisphere_pair_signs,
-    sample_unit_vectors,
     wrap_delta,
 )
 
@@ -78,8 +77,8 @@ def sample_pointwise_rule_counts(
 ) -> int:
     """Count of + outcomes along b in n trials under ensemble +a with the pointwise sign rule.
 
-    Each trial draws J uniform on the +a hemisphere and answers sign(J.b).
+    Each trial draws J with a uniform direction in the +a hemisphere and answers sign(J.b).
     """
-    j = sample_unit_vectors(rng, n)
+    j = rng.standard_normal((n, 3))
     j = np.where(Hemisphere(a, 1).contains(j)[:, None], j, -j)  # restrict to +a
     return int(np.count_nonzero(Hemisphere(b, 1).contains(j)))

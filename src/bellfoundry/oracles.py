@@ -96,8 +96,8 @@ def half_circle_overlap_quadrature(theta_a: float, theta_b: float, n: int = 2_00
 def hemisphere_conditional_fraction(n: int, rng) -> float:
     """P(J.b >= 0 | J.a >= 0) for uniform sphere points; brute-force sampler.
 
-    The geometry is fixed: a = z and b at pi/4 in the x-z plane, the
-    probe of Model 1's pointwise-rule check.
+    The geometry is fixed: a = z and b at pi/4 in the x-z plane.  As the
+    independent route to Model 1's pointwise rule, it normalizes on purpose.
     """
     if n < 1:
         raise ValueError("the conditional fraction needs n >= 1 samples")

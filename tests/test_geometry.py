@@ -215,16 +215,17 @@ def stub_law(label, b):
     return 0.3 if label.sign < 0 else 0.8
 
 
-def assert_kernel_equals_normalized_route(rng_factory, a, n):
-    with np.errstate(all="ignore"):  # zero, tiny, huge and NaN rows warn on either route
-        got = hemisphere_pair_signs(rng_factory(), a, Axis(1.1), n, stub_law)
-        expected = normalized_route(rng_factory(), a.unit_vector, 0.3, 0.8, n)
-    assert np.array_equal(got[0], expected[0])
-    assert np.array_equal(got[1], expected[1])
-    return expected[0]
+def assert_kernel_plus1(rows, a, expected):
+    """The kernel on the given Gaussian rows answers ``expected`` for particle 1,
+    and particle 2 follows ``stub_law`` on the stub's uniforms."""
+    with np.errstate(all="ignore"):  # an inf row makes inf * 0 in the dot and warns
+        plus1, plus2 = hemisphere_pair_signs(RowDraws(rows), a, Axis(1.1), len(expected), stub_law)
+    u = RowDraws(rows).random(len(expected))
+    assert plus1.tolist() == list(expected)
+    assert np.array_equal(plus2, np.where(expected, u < 0.3, u < 0.8))
 
 
-def rows_where_raw_sign_differs(theta, count=64):
+def rows_where_raw_sign_differs(theta):
     """Rows in the plane normal to a, nudged by a few 1e-17 along a, whose
     raw sign (v @ a >= 0) differs from the normalized route's sign."""
     a = Axis(theta).unit_vector
@@ -233,63 +234,61 @@ def rows_where_raw_sign_differs(theta, count=64):
     p -= (p @ a)[:, None] * a
     v = p + (rng.integers(-4, 5, 20_000) * 1e-17)[:, None] * a
     differs = (v @ a >= 0.0) != (sample_unit_vectors(RowDraws(v), len(v)) @ a >= 0.0)
-    assert np.count_nonzero(differs) >= count
-    return v[differs][:count]
+    assert np.count_nonzero(differs) >= 64
+    return v[differs][:64]
+
+
+# rows on the plane normal to z (dot exactly +-0) and the all-zero row: +
+PLANE_ROWS = [[0.3, -1.2, 0.0], [1.0, 0.5, -0.0], [0.0, 0.0, 0.0]]
+
+# (row, its side of the plane normal to z) for rows whose norm is not finite and positive
+EXTREME_ROWS = [
+    # squares underflow: the row still lies on the + side
+    ([0.0, 0.0, 2.0**-600], True),
+    ([0.0, 0.0, 2.0**-1000], True),
+    # squares overflow: the row still lies on the - side
+    ([0.0, 0.0, -(2.0**600)], False),
+    # a NaN dot is in neither hemisphere: -
+    ([math.nan, 0.0, 1.0], False),
+    ([math.inf, 0.0, 1.0], False),
+]
 
 
 class TestHemispherePairSigns:
     @pytest.mark.parametrize("theta", [0.7, 2.1, 4.0])
-    def test_rows_in_the_guard_band_take_the_normalized_sign(self, theta):
+    def test_rows_near_the_plane_take_their_raw_sign(self, theta):
         a = Axis(theta)
         rows = rows_where_raw_sign_differs(theta)
-        plus1 = assert_kernel_equals_normalized_route(lambda: RowDraws(rows), a, len(rows))
-        assert not np.any(plus1 == (rows @ a.unit_vector >= 0.0))
-
-    def test_one_row_in_the_guard_band_sends_the_whole_batch_to_the_normalized_route(self):
-        a = Axis(0.7)
-        rows = substream(9).standard_normal((65_536, 3))
-        rows[40_000] = rows_where_raw_sign_differs(0.7, 1)[0]
-        assert_kernel_equals_normalized_route(lambda: RowDraws(rows), a, len(rows))
+        assert_kernel_plus1(rows, a, rows @ a.unit_vector >= 0.0)
 
     def test_exact_zero_dot_and_zero_rows(self):
-        # boundary rows (dot exactly +-0) count as +; an all-zero row
-        # normalizes to NaN and stays -, as it always was
-        rows = [[0.3, -1.2, 0.0], [1.0, 0.5, -0.0], [0.0, 0.0, 0.0], [0.2, 0.1, -0.9]]
-        z = Axis(0.0)
-        plus1 = assert_kernel_equals_normalized_route(lambda: RowDraws(rows), z, 4)
-        assert plus1.tolist() == [True, True, False, False]
+        assert_kernel_plus1(PLANE_ROWS + [[0.2, 0.1, -0.9]], Axis(0.0), [True, True, True, False])
 
-    @pytest.mark.parametrize(
-        "row, plus",
-        [
-            # squares underflow, the norm is 0 and the normalized row is NaN: -
-            ([0.0, 0.0, 2.0**-600], False),
-            ([0.0, 0.0, 2.0**-1000], False),
-            # squares overflow, the norm is inf and the normalized row is -0.0: +
-            ([0.0, 0.0, -(2.0**600)], True),
-            ([math.nan, 0.0, 1.0], False),
-            ([math.inf, 0.0, 1.0], False),
-        ],
-    )
-    def test_rows_outside_the_proof_take_the_normalized_route(self, row, plus):
-        z = Axis(0.0)
-        plus1 = assert_kernel_equals_normalized_route(lambda: RowDraws(row), z, 1)
-        assert plus1.tolist() == [plus]
+    @pytest.mark.parametrize("row, plus", EXTREME_ROWS)
+    def test_each_row_is_decided_by_its_side_of_the_plane(self, row, plus):
+        assert_kernel_plus1(row, Axis(0.0), [plus])
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi, 5e-324, 0.7])
     @pytest.mark.parametrize("seed", [1, 90210])
     def test_random_batches_equal_the_normalized_route(self, theta, seed):
-        assert_kernel_equals_normalized_route(
-            lambda: substream(seed, 4), Axis(theta), 65_536
-        )
+        got = hemisphere_pair_signs(substream(seed, 4), Axis(theta), Axis(1.1), 65_536, stub_law)
+        expected = normalized_route(substream(seed, 4), Axis(theta).unit_vector, 0.3, 0.8, 65_536)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
 
     def test_random_batches_skip_the_normalization(self, monkeypatch):
+        near_plane = rows_where_raw_sign_differs(0.7)
+        stub_rows = PLANE_ROWS + [row for row, _ in EXTREME_ROWS]
+        stub_plus = [True] * len(PLANE_ROWS) + [plus for _, plus in EXTREME_ROWS]
+
         def normalization_called(*args, **kwargs):
             raise AssertionError("normalized route taken")
 
         monkeypatch.setattr(np.linalg, "norm", normalization_called)
         for theta in (0.0, math.pi / 2, 5e-324, 2.1):
             hemisphere_pair_signs(substream(3, 4), Axis(theta), Axis(1.1), 65_536, stub_law)
+        assert_kernel_plus1(near_plane, Axis(0.7), near_plane @ Axis(0.7).unit_vector >= 0.0)
+        assert_kernel_plus1(stub_rows, Axis(0.0), stub_plus)
 
     @pytest.mark.parametrize("sampler", [model1.sample_trial_counts, model2.sample_trial_counts])
     def test_empty_batch(self, sampler):

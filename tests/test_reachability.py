@@ -1,4 +1,4 @@
-"""src holds only what the program reads: every public top-level name has a reader.
+"""src holds only what the program reads: every top-level name, private or not, has a reader.
 
 A reader is a ``Name`` or ``Attribute`` node in ``src``, ``demos`` or
 ``benchmarks`` outside the name's own definition.  Imports, strings and
@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bellfoundry"
 READER_DIRS = [ROOT / "src", ROOT / "demos", ROOT / "benchmarks"]
 
-# Public names that only tests read, each with the ROADMAP item that will give it a
+# Names that only tests read, each with the ROADMAP item that will give it a
 # reader in the program.  A name that gains a reader must leave this table.
 TEST_ONLY = {
     "model1.measure_single": "item 11: sequential measurement chains",
@@ -24,16 +24,16 @@ TEST_ONLY = {
 }
 
 
-def public_definitions():
-    """(module.name, file, name) for each public top-level function and class of the package."""
+def top_level_definitions():
+    """(module.name, file, name) for each top-level function and class of the package."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 yield f"{path.stem}.{node.name}", path, node.name
 
 
 def unread_definitions():
-    """The public names of the package that nothing outside their own definition reads."""
+    """The top-level names of the package that nothing outside their own definition reads."""
     reads = Counter()  # identifier -> Name and Attribute nodes that read it
     own = Counter()  # (file, identifier) -> those inside the top-level definition of that name
     for directory in READER_DIRS:
@@ -46,12 +46,12 @@ def unread_definitions():
                         own[path, identifier] += identifier == getattr(top, "name", None)
     return {
         qualified
-        for qualified, path, name in public_definitions()
+        for qualified, path, name in top_level_definitions()
         if reads[name] == own[path, name]
     }
 
 
-def test_every_public_name_has_a_reader_or_a_roadmap_item():
+def test_every_top_level_name_has_a_reader_or_a_roadmap_item():
     unread = unread_definitions()
     assert unread == set(TEST_ONLY), (
         f"unread: {sorted(unread)}; not allowlisted: {sorted(unread - set(TEST_ONLY))}; "
