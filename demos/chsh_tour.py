@@ -47,6 +47,6 @@ for stream, (name, sampler) in enumerate(
     print(f"{name} (MC)          chsh = {value:.5f} +- {std:.5f}")
 
 print()
-best, norm = chsh_norm_grid(24)
+norm = chsh_norm_grid(24)
 print(f"max CHSH operator norm over a 24^3 axis grid: {norm:.6f}")
 print(f"sqrt(2)/2 = {math.sqrt(2) / 2:.6f}; the grid never exceeds it")

@@ -14,19 +14,20 @@ from bellfoundry.lhv import (
     DeterministicSignModel,
     quantum_wigner_violation,
     wigner_inequality_check,
-    wigner_measure,
+    wigner_measures,
 )
 from bellfoundry.rng import substream
 
 model = DeterministicSignModel()
 
 print("subset measures (analytic arc lengths):")
-for label, clauses in [
+labels, subsets = zip(
     ("+a",            [(Axis(0.0), 1)]),
     ("+a & +b(90d)",  [(Axis(0.0), 1), (Axis(math.pi / 2), 1)]),
     ("+a & -a",       [(Axis(0.0), 1), (Axis(0.0), -1)]),
-]:
-    print(f"  M({label:12s}) = {wigner_measure(model, clauses):.4f}")
+)
+for label, measure in zip(labels, wigner_measures(model, subsets)):
+    print(f"  M({label:12s}) = {measure:.4f}")
 
 print()
 rng = substream(3)

@@ -334,12 +334,6 @@ def _vertex_chsh_max() -> float:
     return float(joint_distribution_chsh(vertex_distributions()).max())
 
 
-def _singlet_cell_sum(a: Axis, b: Axis) -> float:
-    """E(a, b) from singlet_joint_table: each cell times its outcome product, summed row by row."""
-    products = np.outer([V_MAX, -V_MAX], [V_MAX, -V_MAX])
-    return sum((products * singlet_joint_table(a, b)).ravel().tolist())
-
-
 def verify_chsh(seed: int) -> list[Check]:
     model = DeterministicSignModel()
     grid = [Axis(k * math.pi / 4.0) for k in range(8)]
@@ -369,7 +363,7 @@ def verify_wigner(seed: int) -> list[Check]:
         worst_gap = min(worst_gap, lhs - rhs)
         mc_rng = substream(seed, stream=103, batch=k)
         # set inclusion makes the MC route hold for any masks, so it catches only a wrong clause
-        # combination in lhv._measures: 1,000 draws catch all the mutants 100,000 catch
+        # combination in lhv.wigner_measures: 1,000 draws catch all the mutants 100,000 catch
         _, _, holds_mc = wigner_inequality_check(model, a, ap, b, mode="mc", n=1_000, rng=mc_rng)
         holds_all &= holds and holds_mc
     lhs, rhs, violated = quantum_wigner_violation(
@@ -387,7 +381,7 @@ TSIRELSON_GRID = 64
 
 def verify_tsirelson(seed: int) -> list[Check]:
     """The grid's largest CHSH operator norm is Tsirelson's; ``seed`` is not used."""
-    _, best_norm = chsh_norm_grid(TSIRELSON_GRID)
+    best_norm = chsh_norm_grid(TSIRELSON_GRID)
     ok = abs(best_norm - TSIRELSON_BOUND) < 1e-9 and best_norm <= TSIRELSON_BOUND + 1e-10
     return [Check("tsirelson.grid_max_norm", ok, best_norm, TSIRELSON_BOUND)]
 
@@ -432,8 +426,11 @@ def run_oracle(seed: int) -> list[tuple[str, float]]:
     deltas = (math.pi / 2.0, math.pi / 4.0)
     # one walk of the lambda grid for the overlap and both sign-rule expectations
     (overlap,), expectations = oracles.circle_quadratures([(0.0, math.pi / 2.0)], deltas)
+    # E(0, pi/4) from singlet_joint_table: each cell times its outcome product, summed row by row
+    products = np.outer([V_MAX, -V_MAX], [V_MAX, -V_MAX])
+    cells = products * singlet_joint_table(Axis(0.0), Axis(math.pi / 4.0))
     values = [
-        ("singlet_expectation_pi_over_4", _singlet_cell_sum(Axis(0.0), Axis(math.pi / 4.0))),
+        ("singlet_expectation_pi_over_4", sum(cells.ravel().tolist())),
         # spectral norm of the optimal CHSH operator via numpy, straight from the array
         ("chsh_operator_norm_numpy", float(np.abs(np.linalg.eigvalsh(op)).max())),
         ("wigner_overlap_quadrature_pi_over_2", overlap),

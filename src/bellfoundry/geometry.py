@@ -143,12 +143,6 @@ def counts_from_signs(s1: np.ndarray, s2: np.ndarray) -> PairCounts:
     return PairCounts(n_pp, n_p1 - n_pp, n_p2 - n_pp, p1.size - n_p1 - n_p2 + n_pp)
 
 
-def sample_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n points uniform on the unit sphere (normalized Gaussians)."""
-    v = rng.standard_normal((n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def hemisphere_pair_signs(rng: np.random.Generator, a: Axis, b: Axis, n: int, law) -> tuple:
     """Boolean "+" masks of n EPR trials, particle 1 along a and particle 2 along b.
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .geometry import (
     Axis,
-    ExpectationEstimate,
     Hemisphere,
     PairCounts,
     TAU,
@@ -145,20 +144,11 @@ def sample_sign_model_counts(
     return sample_model_counts(DeterministicSignModel(), a, b, n, rng)
 
 
-def model_expectation(
-    model: HVModel, a: Axis, b: Axis, n: int, rng: np.random.Generator
-) -> ExpectationEstimate:
-    """Monte Carlo estimate of E(a, b) = integral A1bar B2bar rho dlam."""
-    if n <= 0:
-        raise ValueError("trial count must be positive")
-    return empirical_expectation(sample_model_counts(model, a, b, n, rng))
-
-
 def sign_model_expectation_analytic(a: Axis, b: Axis) -> float:
     """Closed form for DeterministicSignModel: -V_MAX^2 (1 - 2|d|/pi).
 
     Obtained from the overlap of the two half-circles; serves as the
-    independent oracle for model_expectation on the built-in model.
+    independent oracle for the sampled expectation of the built-in model.
     """
     d = abs(wrap_delta(a, b))
     return -V_MAX**2 * (1.0 - 2.0 * d / math.pi)
@@ -216,7 +206,10 @@ def check_bell_theorem(
         raise ValueError("the axis grid is empty: there is no quadruple to check")
     if n < 2:
         raise ValueError("the tolerance needs at least 2 trials per pair")
-    table = [[model_expectation(model, a, b, n, rng) for b in grid] for a in grid]
+    table = [
+        [empirical_expectation(sample_model_counts(model, a, b, n, rng)) for b in grid]
+        for a in grid
+    ]
     return _worst_chsh(
         np.array([[e.value for e in row] for row in table]),
         # each squared by Python's **, which need not round as np.square does
@@ -297,8 +290,16 @@ def _arc_intersection_length(clauses) -> float:
     return hi - lo
 
 
-def _measures(model: HVModel, subsets, mode: str, n: int, rng: np.random.Generator | None) -> list:
-    """``wigner_measure`` of several clause lists; MC mode scores all on one sample of lam."""
+def wigner_measures(
+    model: HVModel, subsets, mode: str = "analytic", n: int = 0, rng: np.random.Generator | None = None
+) -> list:
+    """Measure of each subset, the lam on which particle 1 answers sign/2 along every clause.
+
+    A subset lists (axis, sign) clauses: [(a, 1), (ap, -1)] is (+a) & (-a').
+    Analytic mode is the exact half-circle arc overlap, supported for
+    DeterministicSignModel only; MC mode estimates membership frequency on
+    n draws of lam from any deterministic model, all subsets on one sample.
+    """
     subsets = [[Hemisphere(axis, sign) for axis, sign in clauses] for clauses in subsets]
     if not all(subsets):
         raise ValueError("subset spec needs at least one clause")
@@ -328,23 +329,6 @@ def _measures(model: HVModel, subsets, mode: str, n: int, rng: np.random.Generat
     return measures
 
 
-def wigner_measure(
-    model: HVModel,
-    clauses: Sequence[tuple[Axis, int]],
-    mode: str = "analytic",
-    n: int = 0,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Measure of the lam on which particle 1 answers sign/2 along every (axis, sign) clause.
-
-    [(a, 1), (ap, -1)] is the subset (+a) & (-a').  Analytic mode is the
-    exact half-circle arc overlap, supported for DeterministicSignModel
-    only; MC mode estimates membership frequency on n draws of lam from
-    any deterministic model.
-    """
-    return _measures(model, [clauses], mode, n, rng)[0]
-
-
 def wigner_inequality_check(
     model: HVModel,
     a: Axis,
@@ -363,7 +347,7 @@ def wigner_inequality_check(
     by n.
     """
     subsets = [[(ap, 1), (b, 1)], [(a, 1), (b, 1)], [(a, 1), (ap, -1)]]
-    lhs, m_ab, m_aap = _measures(model, subsets, mode, n, rng)
+    lhs, m_ab, m_aap = wigner_measures(model, subsets, mode, n, rng)
     rhs = m_ab - m_aap
     return lhs, rhs, lhs >= rhs - WIGNER_TOLERANCE
 

@@ -3,8 +3,9 @@
 A single spin-1/2 is a unit sphere carrying a scalar field supported on
 one hemisphere, of value r.a/pi at a point r of the support centred on a
 (radius 1), plus a point particle that must sit inside the support.  A
-field is therefore its support ``Hemisphere``.  A measurement along b
-rotates the field toward the apparatus axes.
+field is its support with a label, ``Hemisphere(a, s)``; today the label
+is part of the field, and ROADMAP item 16 decides that rule.  A
+measurement along b rotates the field toward the apparatus axes.
 
 One half-angle amplitude carries every prediction: ``decompose_field``
 rewrites a field on the two hemispheres of any axis u, and its
@@ -39,7 +40,6 @@ from .geometry import (
     PairCounts,
     counts_from_signs,
     hemisphere_pair_signs,
-    sample_unit_vectors,
     sign_index,
     wrap_delta,
 )
@@ -77,7 +77,7 @@ def decompose_field(field: Hemisphere, u: Axis) -> tuple:
     the outcome probabilities along u.  They read the label, not only the
     set: Hemisphere(a, -1) and Hemisphere(a + pi, 1) are one support but
     get opposite amplitudes, so a superposition's predictions depend on
-    which label each term is written with.
+    which label each term is written with: the label is part of the field.
     """
     return _amplitudes(field.sign, (u.theta - field.axis.theta) / 2.0)
 
@@ -93,9 +93,12 @@ def measure_prob_single(initial: Hemisphere, b: Axis) -> float:
 
 def superposition_probabilities(f: FieldSuperposition, b: Axis) -> float:
     """P(+1/2) for a measurement along b on a field superposition."""
+    # nonzero multiples are one field; a power-of-two scale is exact and keeps the squares in range
+    shift = math.frexp(max((abs(c) for c, _ in f.terms), default=0.0))[1]
     amp_plus = amp_minus = 0.0
     for c, t in f.terms:
         plus, minus = decompose_field(t, b)
+        c = math.ldexp(c, -shift)
         amp_plus += c * plus
         amp_minus += c * minus
     norm = amp_plus**2 + amp_minus**2
@@ -152,8 +155,9 @@ class SphereState:
 
 
 def prepare_sphere(rng: np.random.Generator, field: Hemisphere) -> SphereState:
-    """Particle placed uniformly inside the field's support."""
-    r = sample_unit_vectors(rng, 1)[0]
+    """Particle placed uniformly inside the field's support (a normalized Gaussian draw)."""
+    v = rng.standard_normal((1, 3))
+    r = (v / np.linalg.norm(v, axis=1, keepdims=True))[0]
     if not field.contains(r):
         r = -r
     return SphereState(field=field, particle=r)

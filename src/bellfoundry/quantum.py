@@ -109,15 +109,14 @@ def identity_residual(quads: np.ndarray) -> float:
     return worst
 
 
-def chsh_norm_grid(resolution: int) -> tuple:
+def chsh_norm_grid(resolution: int) -> float:
     """Max CHSH operator norm over a coplanar (a', b, b') grid with a = 0.
 
-    Returns (best_axes, best_norm).  The grid steps are 2*pi/resolution, so
-    the exact optimum lies on the grid whenever resolution is a multiple
-    of 8.  The squared-CHSH identity fixes the spectrum, so every grid
-    point is scored in closed form,
-    ||CHSH|| = 2 V_MAX^2 sqrt(1 + |sin(a' - a) sin(b' - b)|),
-    which is the same for both sign choices; the returned sign is +1.
+    The grid steps are 2*pi/resolution, so the exact optimum lies on the
+    grid whenever resolution is a multiple of 8.  The squared-CHSH
+    identity fixes the spectrum, so every grid point is scored in closed
+    form, ||CHSH|| = 2 V_MAX^2 sqrt(1 + |sin(a' - a) sin(b' - b)|),
+    which is the same for both sign choices.
     As an independent route, ``eigvalsh`` of the explicitly built
     operators, both signs, at NORM_CHECK_POINTS seeded grid points and at
     the optimum must agree with the closed form to NORM_CHECK_TOL.
@@ -146,9 +145,7 @@ def chsh_norm_grid(resolution: int) -> tuple:
         gap = np.abs(spectral_norm(_chsh_batch(quads, sign)) - picked).max()
         if gap > NORM_CHECK_TOL:
             raise ArithmeticError(f"closed-form CHSH norm disagrees with eigvalsh by {gap:.3e}")
-
-    best = (Axis(0.0), *(Axis(thetas[i[-1]]) for i in (i_ap, i_b, i_bp)), 1)
-    return best, float(picked[-1])
+    return float(picked[-1])
 
 
 def identity_residual_scan(n_quadruples: int, seed: int) -> float:

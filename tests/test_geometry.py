@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellfoundry import model1, model2
-from bellfoundry.lhv import DeterministicSignModel, wigner_measure
+from bellfoundry.lhv import DeterministicSignModel, wigner_measures
 from bellfoundry.geometry import (
     Axis,
     Hemisphere,
@@ -12,7 +12,6 @@ from bellfoundry.geometry import (
     counts_from_signs,
     empirical_expectation,
     hemisphere_pair_signs,
-    sample_unit_vectors,
     sign_index,
     wrap_delta,
 )
@@ -66,11 +65,11 @@ class TestHemisphere:
     @pytest.mark.parametrize("axis", [0.3, None, "0.3", (0.3,)])
     def test_wigner_measure_rejects_non_axis(self, axis):
         with pytest.raises(ValueError, match="must be an Axis"):
-            wigner_measure(DeterministicSignModel(), [(Axis(0.0), 1), (axis, -1)])
+            wigner_measures(DeterministicSignModel(), [[(Axis(0.0), 1), (axis, -1)]])
 
     def test_wigner_measure_rejects_fractional_sign(self):
         with pytest.raises(ValueError):
-            wigner_measure(DeterministicSignModel(), [(Axis(0.0), 1.5)])
+            wigner_measures(DeterministicSignModel(), [[(Axis(0.0), 1.5)]])
 
     def test_poles_and_boundary(self):
         plus, minus = Hemisphere(Axis(0.0), 1), Hemisphere(Axis(0.0), -1)
@@ -171,24 +170,6 @@ class TestPairCounts:
         assert from_signs.total == 999
 
 
-class TestSampleUnitVectors:
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2027, 90210])
-    def test_bitwise_equal_to_norm_route(self, seed):
-        v = substream(seed, 3).standard_normal((65_537, 3))
-        expected = v / np.linalg.norm(v, axis=1, keepdims=True)
-        assert np.array_equal(sample_unit_vectors(substream(seed, 3), 65_537), expected)
-
-    def test_single_vector(self):
-        v = substream(5).standard_normal((1, 3))
-        assert np.array_equal(
-            sample_unit_vectors(substream(5), 1), v / np.linalg.norm(v, axis=1, keepdims=True)
-        )
-
-    def test_uniform_mean(self):
-        dirs = sample_unit_vectors(substream(51), 20_000)
-        assert np.abs(dirs.mean(axis=0)).max() < 5.0 / math.sqrt(3 * 20_000)
-
-
 class RowDraws:
     """A generator stub: the given Gaussian rows, then evenly spread uniforms."""
 
@@ -205,7 +186,8 @@ class RowDraws:
 
 def normalized_route(rng, a_unit, p_plus_if_plus, p_plus_if_minus, n):
     """The kernel's law with the hemisphere read from the normalized draws."""
-    plus1 = sample_unit_vectors(rng, n) @ a_unit >= 0.0
+    v = rng.standard_normal((n, 3))
+    plus1 = v / np.linalg.norm(v, axis=1, keepdims=True) @ a_unit >= 0.0
     u = rng.random(n)
     return plus1, np.where(plus1, u < p_plus_if_plus, u < p_plus_if_minus)
 
@@ -233,7 +215,7 @@ def rows_where_raw_sign_differs(theta):
     p = rng.standard_normal((20_000, 3))
     p -= (p @ a)[:, None] * a
     v = p + (rng.integers(-4, 5, 20_000) * 1e-17)[:, None] * a
-    differs = (v @ a >= 0.0) != (sample_unit_vectors(RowDraws(v), len(v)) @ a >= 0.0)
+    differs = (v @ a >= 0.0) != (v / np.linalg.norm(v, axis=1, keepdims=True) @ a >= 0.0)
     assert np.count_nonzero(differs) >= 64
     return v[differs][:64]
 

@@ -12,10 +12,9 @@ from bellfoundry.lhv import (
     DeterministicSignModel,
     chsh_value,
     joint_distribution_chsh,
-    model_expectation,
     stochastic_defect,
     wigner_inequality_check,
-    wigner_measure,
+    wigner_measures,
 )
 from bellfoundry.model2 import FieldSuperposition, predictions_equal
 from bellfoundry.quantum import chsh_operator
@@ -38,14 +37,13 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
         (lambda: PairCounts(1, -1, 0, 0), ValueError, "counts must be nonnegative"),
         (lambda: ExpectationEstimate(0.3, 0.0), ValueError, "expectation magnitude exceeds"),
         (lambda: ConstantResponseModel(1.5), ValueError, "p must be a probability"),
-        (lambda: model_expectation(DeterministicSignModel(), A, B, 0, substream(1)),
-         ValueError, "trial count must be positive"),
         (lambda: chsh_value(0.0, 0.0, 0.0, 0.0, sign_choice=0), ValueError, "sign_choice must be"),
-        (lambda: wigner_measure(DeterministicSignModel(), []), ValueError,
+        (lambda: wigner_measures(DeterministicSignModel(), [[]]), ValueError,
          "needs at least one clause"),
-        (lambda: wigner_measure(DeterministicSignModel(), SPEC, "mc", 0, substream(1)),
+        (lambda: wigner_measures(DeterministicSignModel(), [SPEC], "mc", 0, substream(1)),
          ValueError, "MC mode needs a positive n"),
-        (lambda: wigner_measure(DeterministicSignModel(), SPEC, "exact"), ValueError, "unknown mode"),
+        (lambda: wigner_measures(DeterministicSignModel(), [SPEC], "exact"), ValueError,
+         "unknown mode"),
         (lambda: FieldSuperposition([(1.0, A)]), TypeError, "pair coefficients with a Hemisphere"),
         (lambda: FieldSuperposition([(math.nan, Hemisphere(A, 1))]), ValueError,
          "coefficients must be finite"),
@@ -80,7 +78,7 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
     ids=[
         "run_counts_trials", "run_counts_trials_bool", "run_counts_threads_float",
         "pair_counts_negative", "estimate_magnitude", "constant_p",
-        "model_expectation_n", "chsh_value_sign", "subset_spec_empty", "mc_needs_n",
+        "chsh_value_sign", "subset_spec_empty", "mc_needs_n",
         "unknown_mode", "superposition_term", "superposition_finite", "joint_distribution_finite",
         "stochastic_defect_n", "chsh_operator_sign", "parse_axes", "quadrature_n",
         "quadrature_n_bool", "quadrature_n_float", "quadrature_angle", "chsh_value_nan",

@@ -12,6 +12,7 @@ from bellfoundry.geometry import (
     TAU,
     V_MAX,
     counts_from_signs,
+    empirical_expectation,
 )
 from bellfoundry.lhv import (
     _COS_ZERO_1,
@@ -23,7 +24,6 @@ from bellfoundry.lhv import (
     check_bell_theorem,
     chsh_value,
     joint_distribution_chsh,
-    model_expectation,
     quantum_wigner_violation,
     sample_model_counts,
     sample_sign_model_counts,
@@ -31,7 +31,7 @@ from bellfoundry.lhv import (
     stochastic_defect,
     vertex_distributions,
     wigner_inequality_check,
-    wigner_measure,
+    wigner_measures,
 )
 from bellfoundry.oracles import circle_quadratures, half_circle_overlap_quadrature
 from bellfoundry.rng import substream
@@ -91,7 +91,7 @@ class TestDeterministicSignModel:
         rng = substream(33)
         for delta in (math.pi / 2, math.pi / 4):
             a, b = Axis(0.0), Axis(delta)
-            est = model_expectation(model, a, b, 1_000_000, rng)
+            est = empirical_expectation(sample_model_counts(model, a, b, 1_000_000, rng))
             analytic = sign_model_expectation_analytic(a, b)
             assert analytic == pytest.approx(
                 circle_quadratures((), [delta])[1][0], abs=1e-5
@@ -170,9 +170,10 @@ class TestBellTheorem:
             check_bell_theorem(DeterministicSignModel(), [], 1000, substream(36))
 
     def test_single_trial_raises(self):
-        # one trial has no standard error, so no tolerance to check against
-        with pytest.raises(ValueError, match="at least 2 trials"):
-            check_bell_theorem(DeterministicSignModel(), [Axis(0.0)], 1, substream(36))
+        # one trial has no standard error, so no tolerance to check against; no trials, no estimate
+        for n in (1, 0, -1):
+            with pytest.raises(ValueError, match="at least 2 trials"):
+                check_bell_theorem(DeterministicSignModel(), [Axis(0.0)], n, substream(36))
 
 
 def _loop_worst_chsh(keys, estimates):
@@ -193,7 +194,7 @@ def _loop_bell_check(model, grid, n, rng):
     estimates = {}
     for i, a in enumerate(grid):
         for j, b in enumerate(grid):
-            estimates[(i, j)] = model_expectation(model, a, b, n, rng)
+            estimates[(i, j)] = empirical_expectation(sample_model_counts(model, a, b, n, rng))
     return _loop_worst_chsh(range(len(grid)), estimates)
 
 
@@ -236,6 +237,18 @@ class TestWorstChshEqualsLoop:
         expected = _loop_bell_check(model, grid, 5_000, substream(51))
         assert report == expected
 
+    def test_particle_1_is_measured_along_the_first_axis(self):
+        # particle 2 answers along b + 0.3, so E(a, b) != E(b, a), and no term has zero error
+        class ShiftedPartnerModel(DeterministicSignModel):
+            def plus2(self, b, lam):
+                return super().plus2(Axis(b.theta + 0.3), lam)
+
+        model = ShiftedPartnerModel()
+        grid = [Axis(0.0), Axis(1.0), Axis(2.5)]
+        report = check_bell_theorem(model, grid, 5_000, substream(54))
+        expected = _loop_bell_check(model, grid, 5_000, substream(54))
+        assert report == expected
+
     @pytest.mark.parametrize("g", [1, 2, 3, 5])
     def test_tied_scores_go_to_the_first_term(self, g):
         # values on a 1/64 lattice and errors of 0 or 1/64: many terms tie in
@@ -274,7 +287,11 @@ class TestMonteCarloStreamPin:
     def test_grid_estimates_and_next_draws(self, seed):
         model = DeterministicSignModel()
         rng = substream(seed, stream=101)
-        estimates = [model_expectation(model, a, b, 100_000, rng) for a in self.GRID for b in self.GRID]
+        estimates = [
+            empirical_expectation(sample_model_counts(model, a, b, 100_000, rng))
+            for a in self.GRID
+            for b in self.GRID
+        ]
         text = repr([(e.value, e.std_error) for e in estimates]) + repr(rng.random(9).tolist())
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[seed]
 
@@ -284,7 +301,7 @@ class TestMonteCarloStreamPin:
         rng = substream(seed, stream=101)
         for a in self.GRID:
             for b in self.GRID:
-                model_expectation(model, a, b, 100_000, rng)
+                empirical_expectation(sample_model_counts(model, a, b, 100_000, rng))
         checked = substream(seed, stream=101)
         check_bell_theorem(model, self.GRID, 100_000, checked)
         assert checked.random(9).tolist() == rng.random(9).tolist()
@@ -400,18 +417,18 @@ class TestStochasticDefect:
 class TestWignerMeasures:
     def test_single_clause_half(self):
         model = DeterministicSignModel()
-        assert wigner_measure(model, [(Axis(0.7), 1)]) == pytest.approx(0.5)
+        assert wigner_measures(model, [[(Axis(0.7), 1)]])[0] == pytest.approx(0.5)
 
     def test_two_clause_overlap(self):
         # oracle: angular quadrature of the half-circle overlap
         model = DeterministicSignModel()
         a, b = Axis(0.0), Axis(math.pi / 2)
-        analytic = wigner_measure(model, [(a, 1), (b, 1)])
+        analytic = wigner_measures(model, [[(a, 1), (b, 1)]])[0]
         assert analytic == pytest.approx(0.25)
         assert analytic == pytest.approx(
             half_circle_overlap_quadrature(a.theta, b.theta), abs=1e-5
         )
-        mc = wigner_measure(model, [(a, 1), (b, 1)], "mc", 1_000_000, substream(42))
+        (mc,) = wigner_measures(model, [[(a, 1), (b, 1)]], "mc", 1_000_000, substream(42))
         assert abs(mc - analytic) < 5 * measure_std_error(analytic, 1_000_000)
 
     def test_additivity(self):
@@ -419,10 +436,10 @@ class TestWignerMeasures:
         rng = substream(43)
         for _ in range(25):
             a, ap = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
-            total = wigner_measure(model, [(a, 1)])
-            split = wigner_measure(model, [(a, 1), (ap, 1)]) + wigner_measure(
-                model, [(a, 1), (ap, -1)]
+            total, with_ap, without_ap = wigner_measures(
+                model, [[(a, 1)], [(a, 1), (ap, 1)], [(a, 1), (ap, -1)]]
             )
+            split = with_ap + without_ap
             assert split == pytest.approx(total, abs=1e-12)
 
     def test_monotone_under_clause_addition(self):
@@ -430,15 +447,14 @@ class TestWignerMeasures:
         rng = substream(44)
         for _ in range(25):
             a, b, c = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=3))
-            two = wigner_measure(model, [(a, 1), (b, 1)])
-            three = wigner_measure(model, [(a, 1), (b, 1), (c, 1)])
+            two, three = wigner_measures(model, [[(a, 1), (b, 1)], [(a, 1), (b, 1), (c, 1)]])
             assert 0.0 <= three <= two <= 1.0
 
     def test_stochastic_model_rejected(self):
         with pytest.raises(ValueError, match="measure undefined"):
-            wigner_measure(
+            wigner_measures(
                 ConstantResponseModel(0.5),
-                [(Axis(0.0), 1)],
+                [[(Axis(0.0), 1)]],
                 "mc",
                 1000,
                 substream(45),
@@ -457,8 +473,8 @@ class TestWignerMeasures:
             plus2 = plus1
 
         with pytest.raises(ValueError, match="measure undefined"):
-            wigner_measure(
-                LateStochasticModel(), [(Axis(0.0), 1)], "mc", 4096, substream(47)
+            wigner_measures(
+                LateStochasticModel(), [[(Axis(0.0), 1)]], "mc", 4096, substream(47)
             )
 
     def test_float_response_is_refused_even_at_zero_and_one(self):
@@ -469,11 +485,11 @@ class TestWignerMeasures:
                 return super().plus1(a, lam).astype(float)
 
         with pytest.raises(ValueError, match="measure undefined"):
-            wigner_measure(FloatSignModel(), [(Axis(0.0), 1)], "mc", 1000, substream(48))
+            wigner_measures(FloatSignModel(), [[(Axis(0.0), 1)]], "mc", 1000, substream(48))
 
     def test_analytic_mode_requires_builtin(self):
         with pytest.raises(ValueError):
-            wigner_measure(ConstantResponseModel(0.5), [(Axis(0.0), 1)])
+            wigner_measures(ConstantResponseModel(0.5), [[(Axis(0.0), 1)]])
 
 
 class TestWignerInequality:
@@ -540,11 +556,11 @@ class TestWignerMcEqualsOnesMean:
             lam = substream(57, 0, k).uniform(0.0, TAU, size=5_000)
             plus = {axis: np.cos(lam - axis.theta) >= 0.0 for axis in (a, b, c)}
             specs = ([(a, -1)], [(a, 1)], [(a, -1), (b, -1), (c, 1)], [(a, 1), (b, -1), (c, -1)])
-            for clauses in specs:
+            measures = wigner_measures(model, specs, "mc", 5_000, substream(57, 0, k))
+            for clauses, mc in zip(specs, measures, strict=True):
                 member = np.ones(lam.size, dtype=bool)
                 for axis, sign in clauses:
                     member &= plus[axis] if sign > 0 else ~plus[axis]
-                mc = wigner_measure(model, clauses, "mc", 5_000, substream(57, 0, k))
                 assert mc == float(member.mean()), (k, clauses)
 
 

@@ -102,6 +102,27 @@ class TestEquivalence:
         assert cp**2 == pytest.approx(0.5)
         assert cm**2 == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-160, 1e160, 1e300])
+    def test_predictions_do_not_depend_on_scale(self, c):
+        # a field and its nonzero multiples are one field
+        b = Axis(0.5)
+        for terms in ([(1.0, Hemisphere(Axis(0.0), 1))],
+                      [(1.0, Hemisphere(Axis(0.0), 1)), (-0.3, Hemisphere(Axis(1.1), -1))]):
+            unit = superposition_probabilities(FieldSuperposition(terms), b)
+            scaled = FieldSuperposition([(c * w, f) for w, f in terms])
+            assert abs(superposition_probabilities(scaled, b) - unit) < 1e-15
+
+    def test_label_is_part_of_the_field(self):
+        # one support under two labels: opposite amplitudes, so a superposition reads the label
+        minus, plus = Hemisphere(Axis(0.7), -1), Hemisphere(Axis(0.7 + math.pi), 1)
+        amplitudes = (0.34289780745545134, 0.9393727128473789)
+        assert decompose_field(minus, Axis(0.0)) == amplitudes
+        assert decompose_field(plus, Axis(0.0)) == pytest.approx(tuple(-x for x in amplitudes), abs=1e-15)
+        other = (1.0, Hemisphere(Axis(0.2), 1))
+        for field, p_plus in ((minus, 0.7174827670556151), (plus, 0.2825172329443849)):
+            superposition = FieldSuperposition([(1.0, field), other])
+            assert superposition_probabilities(superposition, Axis(0.0)) == p_plus
+
     def test_superposition_rejects_vanishing_field(self):
         a = Axis(0.0)
         f = FieldSuperposition(
@@ -294,6 +315,20 @@ class TestSingleSphereSequence:
         for _ in range(50):
             state = prepare_sphere(rng, field)
             assert field.contains(state.particle)
+
+    def test_mean_particle_is_half_the_axis(self):
+        # r.a is uniform on [0, 1] (variance 1/12); each other component has variance 1/3
+        rng = substream(51)
+        field = Hemisphere(Axis(0.7), 1)
+        particles = np.array([prepare_sphere(rng, field).particle for _ in range(20_000)])
+        error = particles.mean(axis=0) - field.axis.unit_vector / 2.0
+        assert np.abs(error).max() < 5.0 / math.sqrt(3 * 20_000)
+
+    def test_particle_is_the_normalized_draw_or_its_mirror(self):
+        v = substream(5).standard_normal((1, 3))
+        r = (v / np.linalg.norm(v, axis=1, keepdims=True))[0]
+        placed = [prepare_sphere(substream(5), Hemisphere(Axis(0.7), s)).particle for s in (1, -1)]
+        assert {tuple(p) for p in placed} == {tuple(r), tuple(-r)}
 
     def test_repeat_measurement_is_stable(self):
         rng = substream(82)

@@ -18,7 +18,7 @@ from bellfoundry.lhv import (
     chsh_value,
     sign_model_expectation_analytic,
     wigner_inequality_check,
-    wigner_measure,
+    wigner_measures,
 )
 from bellfoundry.model2 import decompose_field, two_party_prob
 from bellfoundry.quantum import (
@@ -110,8 +110,8 @@ def test_wigner_inequality_always_holds_deterministic(ta, tap, tb):
 
 @given(angles, angles, st.sampled_from([1, -1]), st.sampled_from([1, -1]))
 def test_wigner_measure_in_unit_interval(t1, t2, s1, s2):
-    m = wigner_measure(
-        DeterministicSignModel(), [(Axis(t1), s1), (Axis(t2), s2)]
+    (m,) = wigner_measures(
+        DeterministicSignModel(), [[(Axis(t1), s1), (Axis(t2), s2)]]
     )
     assert 0.0 <= m <= 0.5 + 1e-15
 
