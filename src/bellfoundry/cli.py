@@ -4,7 +4,7 @@ Configuration comes from an optional JSON file plus flag overrides.
 Reports are written as flat CSV plus a JSON summary and regenerate
 byte-identically from (config, seed) regardless of thread count; timing
 is printed to the console, never into the files.  Exit codes: 0 all
-checks pass, 1 an inequality suite failed, 2 usage error.
+checks pass, 1 a check failed or a suite raised, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from typing import NamedTuple
 
 import numpy as np
@@ -412,12 +413,18 @@ VERIFY_SUITES = {
 
 
 def run_verify(suite: str, seed: int) -> list[Check]:
-    """The checks of one suite, or of every suite in order for ``all``."""
-    if suite == "all":
-        return [check for verify in VERIFY_SUITES.values() for check in verify(seed)]
-    if suite not in VERIFY_SUITES:
+    """The checks of one suite, or of every suite in order for ``all``; a suite that raises
+    gives one failed check, ``<suite>.raised_<exception type>``, and its traceback on stderr."""
+    if suite != "all" and suite not in VERIFY_SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {sorted(VERIFY_SUITES)} or all")
-    return VERIFY_SUITES[suite](seed)
+    checks = []
+    for name in VERIFY_SUITES if suite == "all" else [suite]:
+        try:
+            checks += VERIFY_SUITES[name](seed)
+        except Exception as exc:  # a fault in one suite fails its check; the later suites still run
+            traceback.print_exc()
+            checks.append(Check(f"{name}.raised_{type(exc).__name__}", False, math.nan, math.nan))
+    return checks
 
 
 def run_oracle(seed: int) -> list[tuple[str, float]]:

@@ -32,10 +32,12 @@ class ModelRunner:
 
     sample_counts: CountSampler
     analytic_expectation: Callable[[Axis, Axis], float]
+    #: False if a batch runs mostly under the interpreter lock, where a second worker only contends
+    threaded: bool = True
 
 
 MODELS = {
-    "quantum": ModelRunner(sample_singlet_counts, singlet_expectation),
+    "quantum": ModelRunner(sample_singlet_counts, singlet_expectation, threaded=False),
     "sign-lhv": ModelRunner(sample_sign_model_counts, sign_model_expectation_analytic),
     # both EPR models reproduce the singlet law, so the quantum closed form applies
     "model1": ModelRunner(model1.sample_trial_counts, singlet_expectation),
@@ -49,7 +51,8 @@ def run_counts(
     """Accumulate trials for every (a, b, stream) pair over deterministic batches.
 
     Task t is batch t % n_batches of pair t // n_batches.  Every pair's key
-    range is checked before any batch is drawn.
+    range is checked before any batch is drawn.  At most ``threads`` workers
+    run, and only the calling thread if the runner is not ``threaded``.
     """
     for name, value in (("trials", trials), ("threads", threads)):
         if type(value) is not int or value < 1:  # type(), not isinstance: a bool is an int
@@ -58,7 +61,7 @@ def run_counts(
     for _, _, stream in pairs:
         check_key(seed, stream, 0, n_batches - 1)
     n_tasks = n_batches * len(pairs)
-    workers = max(1, min(threads, n_tasks))
+    workers = max(1, min(threads if runner.threaded else 1, n_tasks))
 
     def run_range(w: int) -> list[tuple[int, int, int, int]]:
         keyed = BatchStream(seed)

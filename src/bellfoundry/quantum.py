@@ -34,23 +34,23 @@ def singlet_expectation(a: Axis, b: Axis) -> float:
     return -V_MAX**2 * math.cos(wrap_delta(a, b))
 
 
-def singlet_joint_table(a: Axis, b: Axis) -> np.ndarray:
-    """2x2 table of singlet joint probabilities; index 0 = +1/2, 1 = -1/2.
-
-    Opposite signs occur with probability cos(d/2)**2 / 2 and same signs
-    with sin(d/2)**2 / 2, d = theta_b - theta_a.
-    """
+def _singlet_cells(a: Axis, b: Axis) -> tuple[float, float]:
+    """The singlet's same-sign cell, sin(d/2)**2 / 2, and opposite-sign cell,
+    cos(d/2)**2 / 2, at d = theta_b - theta_a."""
     half = wrap_delta(a, b) / 2.0
-    same = 0.5 * math.sin(half) ** 2
-    opposite = 0.5 * math.cos(half) ** 2
+    return 0.5 * math.sin(half) ** 2, 0.5 * math.cos(half) ** 2
+
+
+def singlet_joint_table(a: Axis, b: Axis) -> np.ndarray:
+    """2x2 table of singlet joint probabilities; index 0 = +1/2, 1 = -1/2."""
+    same, opposite = _singlet_cells(a, b)
     return np.array([[same, opposite], [opposite, same]])
 
 
 def sample_singlet_counts(rng: np.random.Generator, a: Axis, b: Axis, n: int) -> PairCounts:
     """Draw n outcome pairs directly from the singlet joint law."""
-    table = singlet_joint_table(a, b).ravel()
-    n_pp, n_pm, n_mp, n_mm = rng.multinomial(n, table)
-    return PairCounts(int(n_pp), int(n_pm), int(n_mp), int(n_mm))
+    same, opposite = _singlet_cells(a, b)
+    return PairCounts(*rng.multinomial(n, [same, opposite, opposite, same]).tolist())
 
 
 def spin_operator(a: Axis) -> np.ndarray:

@@ -39,10 +39,9 @@ def substream(seed: int, stream: int = 0, batch: int = 0) -> np.random.Generator
 class BatchStream:
     """One Philox under one seed, re-keyed in place to draw as ``substream(seed, stream, k)``.
 
-    ``at`` resets the key, the counter and the buffer, which skips the
-    per-generator set-up cost of ``substream``.  The generator is reused:
-    finish drawing from one ``at`` before the next.  Not for sharing
-    between threads: each worker owns one.
+    ``at`` resets the key, the counter and the buffer, which skips the set-up cost of
+    ``substream``; it sets them from Python ints, which the state setter reads without boxing.
+    The generator is reused: finish drawing from one ``at`` before the next; one per thread.
     """
 
     def __init__(self, seed: int):
@@ -50,12 +49,16 @@ class BatchStream:
         self._seed = seed
         self._bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
         self._generator = np.random.Generator(self._bit_generator)
-        # a fresh generator's state (counter 0, empty buffer), read out as new arrays
+        # a fresh generator's state (counter 0, empty buffer), its arrays read out as lists
         self._state = self._bit_generator.state
+        self._state["state"] = {name: array.tolist() for name, array in self._state["state"].items()}
+        self._state["buffer"] = self._state["buffer"].tolist()
         self._key = self._state["state"]["key"]
 
     def at(self, stream: int, k: int) -> np.random.Generator:
-        check_key(self._seed, stream, k)
-        self._key[1] = (int(stream) << 32) | int(k)
+        # the common key, two in-range Python ints, is checked here; check_key takes the rest
+        if not (type(stream) is int and type(k) is int and 0 <= stream < 1 << 32 and 0 <= k < 1 << 32):
+            check_key(self._seed, stream, k)
+        self._key[1] = int(stream) << 32 | int(k)
         self._bit_generator.state = self._state
         return self._generator

@@ -697,6 +697,28 @@ class TestEngine:
         with pytest.raises(ValueError):
             run_pair_counts(MODELS["quantum"], Axis(0.0), Axis(1.0), 10, 1, 0, 0)
 
+    def test_workers_only_for_threaded_runners(self):
+        # a quantum batch holds the interpreter lock: it runs on the calling thread, and no
+        # thread starts; model1 spreads two batches over two workers, which meet at a barrier
+        barrier = threading.Barrier(2, timeout=30)
+        for name, sync in (("quantum", lambda: None), ("model1", barrier.wait)):
+            idents, active = [], []
+
+            def record(*args, real=MODELS[name].sample_counts, sync=sync):
+                idents.append(threading.get_ident())
+                active.append(threading.active_count())
+                sync()
+                return real(*args)
+
+            runner = dataclasses.replace(MODELS[name], sample_counts=record)
+            before = threading.active_count()
+            run_pair_counts(runner, Axis(0.4), Axis(2.2), 4 * BATCH_SIZE, 8, 1, 2)
+            if name == "quantum":
+                assert set(idents) == {threading.get_ident()}
+                assert set(active) == {before}
+            else:
+                assert len(set(idents)) == 2 and threading.get_ident() not in idents
+
     def test_every_model_reproduces_its_law(self):
         a, b = Axis(0.0), Axis(math.pi / 4)
         for name, runner in MODELS.items():
@@ -823,14 +845,21 @@ class TestVerifyStartsNoThread:
         assert set(idents) == {threading.get_ident()}
         assert threading.active_count() == before
 
-    def test_exception_under_all_exits_2(self, monkeypatch, capsys):
+    def test_exception_in_a_suite_fails_it_and_exits_1(self, monkeypatch, capsys):
         def fail(seed):
             raise ValueError("suite failed")
 
-        monkeypatch.setattr(cli, "VERIFY_SUITES", {"one": lambda seed: [], "two": fail})
-        assert main(["verify", "--suite", "all"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: suite failed\n" and captured.out == ""
+        later = Check("three.ran", True, 0.0, 0.0)
+        suites = {"one": lambda seed: [], "two": fail, "three": lambda seed: [later]}
+        monkeypatch.setattr(cli, "VERIFY_SUITES", suites)
+        failed = "check=two.raised_ValueError status=FAIL value=nan bound=nan margin=nan\n"
+        for suite, rest in (("all", later.line + "\n"), ("two", "")):
+            assert main(["verify", "--suite", suite]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == f"{failed}{rest}suite={suite} overall=FAIL\n"
+            assert captured.err.startswith("Traceback") and captured.err.endswith(
+                "ValueError: suite failed\n"
+            )
 
 
 class TestSeedRule:
