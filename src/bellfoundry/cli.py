@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import itertools
 import json
 import math
 import os
@@ -156,33 +155,92 @@ def load_config(args) -> dict:
     return config
 
 
-def _fmt(x) -> str:
-    """A float as ``repr`` writes it; a std error that is null in the JSON as ``nan``."""
-    return "nan" if x is None else repr(float(x))
-
-
-CELL_LABELS = (("+1/2", "+1/2"), ("+1/2", "-1/2"), ("-1/2", "+1/2"), ("-1/2", "-1/2"))
+def _std_error(x, missing: str) -> str:
+    """A std error as ``repr`` writes it, or ``missing`` where it is None (too few trials)."""
+    return missing if x is None else repr(x)
 
 
 def _counts_csv(report: dict):
-    """The counts CSV, one line per outcome cell of every pair."""
+    """The counts CSV, one line per outcome cell of every pair, one chunk per pair."""
     yield "run_id,theta_a,theta_b,a1,b2,count,freq\n"
     for run in report["runs"]:
         for pair in run["pairs"]:
-            thetas = f"{run['run_id']},{_fmt(pair['theta_a'])},{_fmt(pair['theta_b'])}"
-            total = sum(pair["counts"])
-            for (a1, b2), cell in zip(CELL_LABELS, pair["counts"]):
-                yield f"{thetas},{a1},{b2},{cell},{_fmt(cell / total)}\n"
+            # an axis read from a config file may be an int; the CSV writes every angle as a float
+            head = f"{run['run_id']},{float(pair['theta_a'])!r},{float(pair['theta_b'])!r}"
+            n_pp, n_pm, n_mp, n_mm = pair["counts"]
+            total = n_pp + n_pm + n_mp + n_mm
+            yield (f"{head},+1/2,+1/2,{n_pp},{n_pp / total!r}\n{head},+1/2,-1/2,{n_pm},{n_pm / total!r}\n"
+                   f"{head},-1/2,+1/2,{n_mp},{n_mp / total!r}\n{head},-1/2,-1/2,{n_mm},{n_mm / total!r}\n")
 
 
 def _summary_csv(report: dict):
-    """The summary CSV: each pair's E and standard error, then its run's CHSH line."""
+    """The summary CSV: each pair's E and std error, then its run's CHSH line; a chunk per run."""
     yield "pair_id,E,std_error\n"
     for run in report["runs"]:
         run_id = run["run_id"]
-        for pair in run["pairs"]:
-            yield f"{run_id}:{pair['pair']},{_fmt(pair['expectation'])},{_fmt(pair['std_error'])}\n"
-        yield f"{run_id}:chsh,{_fmt(run['chsh'])},{_fmt(run['chsh_std_error'])}\n"
+        lines = [f"{run_id}:{pair['pair']},{pair['expectation']!r},{_std_error(pair['std_error'], 'nan')}\n"
+                 for pair in run["pairs"]]
+        lines.append(f"{run_id}:chsh,{run['chsh']!r},{_std_error(run['chsh_std_error'], 'nan')}\n")
+        yield "".join(lines)
+
+
+# The two templates of the JSON report, laid out as ``json.dumps(report, indent=2,
+# sort_keys=True)`` writes a report of ``run_simulate``: keys sorted, two-space indent,
+# one list item per line, numbers as ``repr`` writes them, null for a std error of None.
+# Every string is a model name, pair label or flag, ASCII with nothing to escape, and
+# every list is non-empty, so no other case of the encoder arises.
+_PAIR_JSON = """\
+        {
+          "counts": [
+            %r,
+            %r,
+            %r,
+            %r
+          ],
+          "expectation": %r,
+          "pair": "%s",
+          "std_error": %s,
+          "theta_a": %r,
+          "theta_b": %r
+        }"""
+
+_RUN_JSON = """\
+    {
+      "axes": [
+        %r,
+        %r,
+        %r,
+        %r
+      ],
+      "bell_bound": %r,
+      "chsh": %r,
+      "chsh_std_error": %s,
+      "flag": "%s",
+      "pairs": [
+%s
+      ],
+      "run_id": %r,
+      "tsirelson_bound": %r
+    }"""
+
+
+def _report_json(report: dict):
+    """The JSON report with its final newline, one chunk per run."""
+    yield f'{{\n  "model": "{report["model"]}",\n  "runs": [\n'
+    separator = ""
+    for run in report["runs"]:
+        pairs = ",\n".join([
+            _PAIR_JSON % (*p["counts"], p["expectation"], p["pair"], _std_error(p["std_error"], "null"),
+                          p["theta_a"], p["theta_b"])
+            for p in run["pairs"]
+        ])
+        yield separator + _RUN_JSON % (
+            *run["axes"], run["bell_bound"], run["chsh"], _std_error(run["chsh_std_error"], "null"),
+            run["flag"], pairs, run["run_id"], run["tsirelson_bound"],
+        )
+        separator = ",\n"
+    yield (f'\n  ],\n  "seed": {report["seed"]!r},\n  "sign_choice": {report["sign_choice"]!r},\n'
+           f'  "trials": {report["trials"]!r}\n}}\n')
 
 
 def _write_report_files(out: str, report: dict) -> None:
@@ -190,12 +248,12 @@ def _write_report_files(out: str, report: dict) -> None:
 
     Each file goes to a temporary name beside its target; only when all
     three are written are they moved into place with ``os.replace``, so
-    a failed write leaves the previous files and no temporary file.  Lines
-    and JSON chunks are written as they are made; no file is held whole.
+    a failed write leaves the previous files and no temporary file.  Each
+    chunk (a pair's counts lines, a run's summary lines or a run's JSON)
+    is written as it is made; no file is held whole.
     """
-    json_chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
     files = (("_counts.csv", _counts_csv(report)), ("_summary.csv", _summary_csv(report)),
-             ("_report.json", itertools.chain(json_chunks, ["\n"])))
+             ("_report.json", _report_json(report)))
     moves = []
     try:
         for suffix, chunks in files:
@@ -203,8 +261,7 @@ def _write_report_files(out: str, report: dict) -> None:
             temp = f"{target}.{os.urandom(8).hex()}.tmp"
             with open(temp, "x") as fh:
                 moves.append((temp, target))
-                for chunk in chunks:  # a loop of write calls beat writelines by 10% on the JSON
-                    fh.write(chunk)
+                fh.writelines(chunks)
         for temp, target in moves:
             os.replace(temp, target)
     finally:

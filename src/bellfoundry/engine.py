@@ -58,8 +58,7 @@ def run_counts(
         if type(value) is not int or value < 1:  # type(), not isinstance: a bool is an int
             raise ValueError(f"{name} must be >= 1 and an int, got {value!r}")
     n_batches = -(-trials // BATCH_SIZE)
-    for _, _, stream in pairs:
-        check_key(seed, stream, 0, n_batches - 1)
+    check_key(seed, 0, n_batches - 1, *(stream for _, _, stream in pairs))
     n_tasks = n_batches * len(pairs)
     workers = max(1, min(threads if runner.threaded else 1, n_tasks))
 

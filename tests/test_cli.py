@@ -594,8 +594,9 @@ class TestAtomicReports:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_write_phase_peak_below_128_kb(self, tmp_path):
-        # for a 128-quadruple report (about 190 KB of JSON) streaming every file peaks near
-        # 60 KB; building the two CSV files as line lists first peaked near 350 KB
+        # for a 128-quadruple report (about 200 KB of JSON) writing every file chunk by
+        # chunk peaks near 26 KB; building the two CSV files as line lists first peaked
+        # near 350 KB
         axes = [[0.37 * (4 * i + j) % (2 * math.pi) for j in range(4)] for i in range(128)]
         report = run_simulate({**self._config(tmp_path), "axes": axes, "trials": 1000})
         tracemalloc.start()
@@ -689,9 +690,12 @@ class TestEngine:
     def test_bad_last_key_raises_before_any_batch(self):
         never = lambda *args: pytest.fail("a batch was drawn")  # noqa: E731
         runner = dataclasses.replace(MODELS["quantum"], sample_counts=never)
-        pairs = [(Axis(0.0), Axis(1.0), s) for s in (0, 1, 1 << 32)]
-        with pytest.raises(ValueError, match="32 bits"):
-            run_counts(runner, pairs, 10, 1, 2)
+        # a stream out of range last or in the middle, and a bool stream, which would key as 1
+        for streams, match in (((0, 1, 1 << 32), "32 bits"), ((0, -1, 2), "32 bits"),
+                               ((0, True, 2), "must be integers")):
+            pairs = [(Axis(0.0), Axis(1.0), s) for s in streams]
+            with pytest.raises(ValueError, match=match):
+                run_counts(runner, pairs, 10, 1, 2)
 
     def test_rejects_nonpositive_threads(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
 """Property-based checks of the structural invariants."""
 
+import json
 import math
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from bellfoundry import cli
+from bellfoundry.engine import MODELS
 from bellfoundry.geometry import (
     Axis,
     Hemisphere,
@@ -152,3 +156,29 @@ def test_pair_counts_merge_associative_with_expectation(a1, a2, a3, a4, b1, b2, 
     merged = left + right
     assert merged.total == left.total + right.total
     assert merged.n_pp == a1 + b1
+
+
+#: Axis angles a config may give: integers, -0.0, 1e16 and the optimal angles among any floats.
+config_angles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([0.0, -0.0, 1e16, -1e16, *cli.OPTIMAL_AXES]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(MODELS)),
+    st.lists(st.lists(config_angles, min_size=4, max_size=4), min_size=1, max_size=5),
+    st.one_of(st.just(1), st.integers(min_value=2, max_value=5000)),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.sampled_from([1, -1]),
+)
+def test_report_json_is_the_stdlib_encoding(model, axes, trials, seed, sign_choice):
+    # the stdlib's indenting encoder is the reference the two report templates must match
+    # byte for byte; one trial gives null std errors and the flag "undetermined"
+    with tempfile.TemporaryDirectory() as out:
+        config = {**cli.CONFIG_DEFAULTS, "model": model, "axes": axes, "trials": trials, "seed": seed,
+                  "sign_choice": sign_choice, "output": f"{out}/run"}
+        report = cli.run_simulate(config)
+    assert "".join(cli._report_json(report)) == json.dumps(report, indent=2, sort_keys=True) + "\n"
