@@ -332,18 +332,26 @@ def run_simulate(config: dict) -> dict:
     return report
 
 
+def _closed_form_table(expectation, thetas: np.ndarray) -> np.ndarray:
+    """expectation(Axis(thetas[i]), Axis(thetas[j])) for all i, j, one call per distinct float
+    difference thetas[j] - thetas[i]: ModelRunner's contract makes those values equal."""
+    diffs = thetas[None, :] - thetas[:, None]
+    _, first, inverse = np.unique(diffs, return_index=True, return_inverse=True)
+    rows, cols = np.divmod(first, len(thetas))
+    values = [expectation(Axis(thetas[i]), Axis(thetas[j])) for i, j in zip(rows, cols)]
+    return np.array(values)[inverse].reshape(diffs.shape)
+
+
 def run_scan(model: str, grid_resolution: int):
     """Grid-search the CHSH combination over coplanar quadruples with a = 0.
 
-    Every pair expectation comes from the model's closed form.  Returns
-    (axes quadruple, sign, best value).
+    Every pair expectation comes from the model's closed form, called once per
+    distinct angle difference.  Returns (axes quadruple, sign, best value).
     """
     if grid_resolution < 2:
         raise ValueError("grid resolution must be >= 2")
-    expectation = MODELS[model].analytic_expectation
     thetas = np.arange(grid_resolution) * (2.0 * math.pi / grid_resolution)
-    axes = [Axis(t) for t in thetas]
-    e1 = np.array([[expectation(a, b) for b in axes] for a in axes])
+    e1 = _closed_form_table(MODELS[model].analytic_expectation, thetas)
     e0 = e1[0]  # thetas[0] == 0.0, so this row is E(0, b)
     best_value = -math.inf
     best = None

@@ -31,6 +31,8 @@ class ModelRunner:
     """A registered model: a vectorized trial sampler plus its closed form."""
 
     sample_counts: CountSampler
+    #: reads (a, b) only through geometry.wrap_delta(a, b), so equal float differences
+    #: b.theta - a.theta give equal values; scan calls it once per distinct difference
     analytic_expectation: Callable[[Axis, Axis], float]
     #: False if a batch runs mostly under the interpreter lock, where a second worker only contends
     threaded: bool = True

@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the closed forms it validates:
 plain grids, Gauss-Legendre quadrature and sampling, sharing no helper math with
-them, so tests can compare the two routes.  Their sign decisions use ``np.cos`` on
-purpose: they are the independent route for ``lhv``'s threshold rule.
+them, so tests can compare the two routes.  Their sign decisions are float64
+``np.cos``'s on purpose, even where a float32 cosine screens them first: they are
+the independent route for ``lhv``'s threshold rule.
 """
 
 from __future__ import annotations
@@ -54,13 +55,31 @@ def _lambda_blocks(n: int):
         yield lam
 
 
+def _screened_cos_nonneg(lam: np.ndarray, theta: float) -> np.ndarray:
+    """``np.cos(lam - theta) >= 0.0`` for an ascending ``lam``, bit for bit.
+
+    A float32 cosine decides a point where |cos| > 2**-16 + 2**-23 * max|c|, which bounds
+    the float32 rounding of c (2**-24 * |c|) plus float32 ``np.cos``'s few-ulp error.  The
+    other points take the float64 cosine: about 1e-5 of a grid, and all of it once max|c|
+    passes about 2**23 or the screen is NaN beyond float32's range.
+    """
+    c = lam - theta
+    bound = 2.0**-16 + 2.0**-23 * max(abs(c[0]), abs(c[-1]))  # c is monotone in lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        screen = np.cos(c.astype(np.float32))
+    nonneg = screen >= 0.0
+    undecided = np.flatnonzero(~(np.abs(screen) > bound))
+    nonneg[undecided] = np.cos(c[undecided]) >= 0.0
+    return nonneg
+
+
 def circle_quadratures(overlaps, deltas, n: int = 2_000_000) -> tuple[list[float], list[float]]:
     """Half-circle overlaps and sign-rule expectations from one walk of the n-point grid.
 
     Returns (overlap per (theta_a, theta_b) in `overlaps`, expectation per
     delta in `deltas`); ``half_circle_overlap_quadrature`` is the
-    one-overlap form.  Each block computes
-    ``np.cos(lam - theta) >= 0.0`` once per distinct angle; the sign rule's
+    one-overlap form.  Each block decides ``np.cos(lam - theta) >= 0.0`` once per
+    distinct angle, through ``_screened_cos_nonneg``'s float32 screen; the sign rule's
     particle 1 reads theta = 0.0, and lam - 0.0 is lam.
     """
     if type(n) is not int or n < 1:  # type(), not isinstance: a bool is an int
@@ -73,11 +92,7 @@ def circle_quadratures(overlaps, deltas, n: int = 2_000_000) -> tuple[list[float
     inside = [0] * len(overlaps)
     agree = [0] * len(deltas)
     for lam in _lambda_blocks(n):
-        nonneg = {}
-        for theta in distinct:
-            c = lam - theta
-            np.cos(c, out=c)  # in place: the same doubles as np.cos(lam - theta), one array fewer
-            nonneg[theta] = c >= 0.0
+        nonneg = {theta: _screened_cos_nonneg(lam, theta) for theta in distinct}
         for i, (theta_a, theta_b) in enumerate(overlaps):
             inside[i] += int(np.count_nonzero(nonneg[theta_a] & nonneg[theta_b]))
         # particle 1 answers +1/2 where cos(lam) >= 0, particle 2 -1/2 where

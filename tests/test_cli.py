@@ -32,7 +32,7 @@ from bellfoundry.cli import (
 )
 from bellfoundry.engine import MODELS, run_counts, run_pair_counts
 from bellfoundry.geometry import Axis, empirical_expectation
-from bellfoundry.rng import BATCH_SIZE, check_key
+from bellfoundry.rng import BATCH_SIZE, check_key, substream
 
 
 # Exact stdout by seed; any change to a printed value must update these.
@@ -762,6 +762,30 @@ class TestScan:
                 best = ((0.0, *(float(thetas[i]) for i in idx)), sign)
         assert run_scan(model, grid) == (*best, best_value)
 
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("grid", [7, 64, 192, 512])
+    def test_table_equals_the_per_pair_loop(self, model, grid):
+        expectation = MODELS[model].analytic_expectation
+        thetas = np.arange(grid) * (2.0 * math.pi / grid)
+        axes = [Axis(t) for t in thetas]
+        loop = np.array([[expectation(a, b) for b in axes] for a in axes])
+        table = cli._closed_form_table(expectation, thetas)
+        np.testing.assert_array_equal(table.view(np.uint64), loop.view(np.uint64), strict=True)
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_closed_form_reads_only_the_angle_difference(self, model):
+        """ModelRunner's contract, which lets scan call a closed form once per difference."""
+        expectation = MODELS[model].analytic_expectation
+        rng = substream(39, 0)
+        values = {}  # float difference b.theta - a.theta -> the values' bits
+        # Axis(t + d) - Axis(t) rounds to a few floats per d, so random pairs share them
+        for d in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=8):
+            for t in rng.uniform(0.0, 2.0 * math.pi, size=250):
+                a, b = Axis(t), Axis(t + d)
+                values.setdefault(b.theta - a.theta, set()).add(float(expectation(a, b)).hex())
+        assert all(len(bits) == 1 for bits in values.values())
+        assert len(values) < 2_000 / 4  # most of the 2,000 pairs share a difference
+
     def test_grid_above_the_cap_exits_2(self, capsys, monkeypatch):
         # the config key is one more case of TestConfigSchema.test_bad_value_exits_2
         monkeypatch.setattr(cli, "run_scan", lambda *args: pytest.fail("scan ran"))
@@ -912,9 +936,9 @@ print(peak_kib)
 class TestPeakMemory:
     """oracle and scan stay far below their old full-grid peaks (about 100 and 92 MB).
 
-    A bare ``import bellfoundry.cli`` peaks near 35 MB, ``oracle``'s blocked quadratures
-    near 39 MB, the one-a'-at-a-time scan at grid 192 near 38 MB, and every verify suite in
-    one run near 41 MB.
+    A bare ``import bellfoundry.cli`` peaks near 35 MB, ``oracle``'s blocked, float32-screened
+    quadratures near 39 MB (39.4), the one-a'-at-a-time scan at grid 192 with its
+    once-per-difference table near 38 MB (37.6), and every verify suite in one run near 41 MB.
     """
 
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from bellfoundry.oracles import (
     QUADRATURE_BLOCK,
     _lambda_blocks,
+    _screened_cos_nonneg,
     circle_quadratures,
     half_circle_overlap_quadrature,
 )
@@ -103,11 +104,15 @@ class TestFusedWalk:
     def test_each_distinct_cosine_once_per_block(self, monkeypatch):
         calls = []
         cos = np.cos
-        monkeypatch.setattr(np, "cos", lambda *args, **kw: calls.append(1) or cos(*args, **kw))
+        monkeypatch.setattr(np, "cos", lambda x, *args, **kw: calls.append(x) or cos(x, *args, **kw))
         # the oracle's three quadratures read three distinct angles (0, pi/2, pi/4) in 3 blocks
         n = 2 * QUADRATURE_BLOCK + 1
         circle_quadratures([(0.0, math.pi / 2.0)], [math.pi / 2.0, math.pi / 4.0], n)
-        assert len(calls) == 3 * 3
+        whole_block = [len(x) for x in calls if x.dtype == np.float32]
+        assert whole_block == 6 * [QUADRATURE_BLOCK] + 3 * [1]
+        # the float64 re-check sees only the points the float32 screen cannot decide
+        rechecked = sum(len(x) for x in calls if x.dtype == np.float64)
+        assert rechecked < 100  # of 3 * n = 393,219
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_raises(self, bad):
@@ -118,3 +123,50 @@ class TestFusedWalk:
         ):
             with pytest.raises(ValueError, match="quadrature angles must be finite"):
                 call()
+
+
+def cos_zero_angles(n):
+    """Angles that put a grid point on a float zero of cos: c = lam_k -+ fl(pi/2), fl(3pi/2)."""
+    lam = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    return [
+        float(lam[k] + sign * zero)
+        for k in sorted({0, n // 3, n - 1})
+        for zero in (math.pi / 2.0, 3.0 * math.pi / 2.0)
+        for sign in (1.0, -1.0)
+    ]
+
+
+# beyond 2**23 every point is undecided; beyond float32's range the screen is NaN
+HUGE_ANGLES = [1e8, -1e8, 1e15, -1e15, 1e300, -1e300]
+
+
+@pytest.mark.filterwarnings("error")
+class TestFloat32Screen:
+    """The float32 screen decides every point as float64 np.cos(lam - theta) >= 0.0 does."""
+
+    @pytest.mark.parametrize("n", [1, QUADRATURE_BLOCK - 1, QUADRATURE_BLOCK + 1, 2_000_000])
+    def test_equals_float64_route(self, n):
+        lam = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+        for theta in cos_zero_angles(n) + HUGE_ANGLES:
+            plain = np.cos(lam - theta) >= 0.0
+            screened = [_screened_cos_nonneg(block, theta) for block in _lambda_blocks(n)]
+            np.testing.assert_array_equal(np.concatenate(screened), plain, strict=True)
+            assert half_circle_overlap_quadrature(theta, theta, n) == np.count_nonzero(plain) / n
+
+    def test_zero_angles_hit_float_zeros(self):
+        # the cases above are worth their name: grid points sit on fl(pi/2) and fl(3pi/2)
+        n = 2_000_000
+        lam = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+        for zero in (math.pi / 2.0, 3.0 * math.pi / 2.0):
+            hits = sum(np.count_nonzero(np.abs(lam - t) == zero) for t in cos_zero_angles(n))
+            assert hits >= 4
+
+    def test_any_ascending_array(self):
+        # points near zeros of cos at |c| ~ 1e3..1e5, where rounding c to float32 moves it
+        # by up to 2**-24 * |c| > 2**-16; the end c[-1], not c[0], holds the largest |c|
+        k = np.arange(1_000, 30_000, 7)
+        zeros = np.concatenate([[0.0], math.pi / 2.0 + k * math.pi])
+        for lam in (zeros, np.nextafter(zeros, np.inf), np.nextafter(zeros, -np.inf)):
+            np.testing.assert_array_equal(
+                _screened_cos_nonneg(lam, 0.0), np.cos(lam) >= 0.0, strict=True
+            )
