@@ -19,7 +19,7 @@ from bellfoundry.model2 import (
     superposition_probabilities,
     two_party_prob,
 )
-from bellfoundry.quantum import singlet_joint_probability
+from bellfoundry.quantum import singlet_joint_table
 from bellfoundry.rng import substream
 
 a, u = Axis(0.3), Axis(1.4)
@@ -40,7 +40,7 @@ for label in (Axis(0.0), Axis(1.0), Axis(2.5)):
     p = two_party_prob(label, c, b, 1, -1)
     print(f"two-party P(+,-) with label axis {label.theta:.2f}: {p:.6f}")
 print(f"singlet value:                            "
-      f"{singlet_joint_probability(1, c, -1, b):.6f}")
+      f"{singlet_joint_table(c, b)[0, 1]:.6f}")
 
 print()
 rng = substream(4)

@@ -10,12 +10,8 @@ singlet probabilities refuse to satisfy it.
 import math
 
 from bellfoundry.geometry import Axis
-from bellfoundry.lhv import (
-    DeterministicSignModel,
-    quantum_wigner_violation,
-    wigner_inequality_check,
-    wigner_measures,
-)
+from bellfoundry.lhv import DeterministicSignModel, wigner_inequality_check, wigner_measures
+from bellfoundry.quantum import quantum_wigner_violation
 from bellfoundry.rng import substream
 
 model = DeterministicSignModel()

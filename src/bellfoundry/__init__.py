@@ -6,7 +6,8 @@ Library layout:
   expectation estimates.
 - ``rng``: Philox substreams keyed by (seed, stream, batch).
 - ``linalg``: Hermiticity-checked spectral norm.
-- ``quantum``: singlet closed forms and the operator-algebra CHSH bounds.
+- ``quantum``: singlet closed forms, the singlet's side of the Wigner
+  inequality, and the operator-algebra CHSH bounds.
 - ``lhv``: hidden-variable model contract, CHSH and joint-distribution
   bounds, Wigner set measures.
 - ``model1``: ensemble angular-momentum model reproducing the singlet.

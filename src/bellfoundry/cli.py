@@ -32,13 +32,12 @@ from .lhv import (
     check_bell_theorem,
     chsh_value,
     joint_distribution_chsh,
-    quantum_wigner_violation,
     stochastic_defect,
     vertex_distributions,
     wigner_inequality_check,
 )
-from .quantum import chsh_norm_grid, chsh_operator, identity_residual_scan, singlet_expectation
-from .quantum import singlet_joint_table
+from .quantum import chsh_norm_grid, chsh_operator, identity_residual_scan
+from .quantum import quantum_wigner_violation, singlet_expectation, singlet_joint_table
 from .rng import BATCH_SIZE, substream
 
 #: The four CHSH pairs as (label, first axis, second axis), indexing a quadruple (a, a', b, b').
@@ -107,10 +106,10 @@ def _validate_config(config: dict) -> None:
     """Raise UsageError unless every value has the type and range its key needs."""
     if not isinstance(config["model"], str) or config["model"] not in MODELS:
         raise UsageError(f"unknown model {config['model']!r}; choose from {sorted(MODELS)}")
-    for key, low in (("trials", 1), ("threads", 1), ("grid", 2)):
+    bounds = (("trials", 1, MAX_TRIALS), ("threads", 1, MAX_THREADS), ("grid", 2, MAX_GRID))
+    for key, low, high in bounds:
         if not _is_int(config[key]) or config[key] < low:
             raise UsageError(f"{key} must be an integer >= {low}, got {config[key]!r}")
-    for key, high in (("trials", MAX_TRIALS), ("threads", MAX_THREADS), ("grid", MAX_GRID)):
         if config[key] > high:
             raise UsageError(f"{key} must be <= {high}, got {config[key]!r}")
     _check_seed(config["seed"])
@@ -494,7 +493,7 @@ def run_verify(suite: str, seed: int) -> list[Check]:
 
 def run_oracle(seed: int) -> list[tuple[str, float]]:
     """Brute-force oracles behind the derived expected values, as (name, value) pairs."""
-    op = chsh_operator(*(Axis(t) for t in OPTIMAL_AXES), 1)
+    op = chsh_operator(*(Axis(t) for t in OPTIMAL_AXES))
     deltas = (math.pi / 2.0, math.pi / 4.0)
     # one walk of the lambda grid for the overlap and both sign-rule expectations
     (overlap,), expectations = oracles.circle_quadratures([(0.0, math.pi / 2.0)], deltas)

@@ -7,6 +7,7 @@ only P(+1/2 | lam) along an axis for each sampled variable; P(-1/2 | lam)
 is 1 - P(+1/2 | lam) wherever it is needed, and normalization holds by
 construction.  A deterministic model states it as a boolean mask, which is
 P(+1/2 | lam) as 0 or 1; only such a mask defines the Wigner set measures.
+This module imports only ``geometry``; the singlet's Wigner sides are in ``quantum``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .geometry import (
     wrap_angle,
     wrap_delta,
 )
-from .quantum import singlet_joint_probability
 
 # cos changes sign between each of these doubles and the next one up:
 # cos(fl(pi/2)) = +6.1e-17 and cos(fl(3pi/2)) = -1.8e-16.
@@ -350,18 +350,3 @@ def wigner_inequality_check(
     lhs, m_ab, m_aap = wigner_measures(model, subsets, mode, n, rng)
     rhs = m_ab - m_aap
     return lhs, rhs, lhs >= rhs - WIGNER_TOLERANCE
-
-
-def quantum_wigner_violation(a: Axis, ap: Axis, b: Axis) -> tuple:
-    """Evaluate the set-measure inequality with singlet probabilities.
-
-    Each measure M(+x & s y) is 2 P(+x, -s y), twice a cell of the
-    singlet's joint table: lhs = cos((theta_b - theta_a')/2)**2 and
-    rhs = cos((theta_b - theta_a)/2)**2 - sin((theta_a - theta_a')/2)**2.
-    Returns (lhs, rhs, violated); the inequality fails e.g. for coplanar
-    angles 0 <= theta_b < theta_a < theta_a' <= pi/2.
-    """
-    lhs = 2.0 * singlet_joint_probability(1, ap, -1, b)
-    rhs = 2.0 * singlet_joint_probability(1, a, -1, b)
-    rhs -= 2.0 * singlet_joint_probability(1, a, 1, ap)
-    return lhs, rhs, lhs < rhs

@@ -1,8 +1,10 @@
 """Closed-form singlet predictions and operator-algebra CHSH bounds.
 
 This module is the ground-truth oracle the hidden-variable models are
-checked against.  Spin operators are realized in the x-z plane (matching
-the coplanar axis convention): S(theta) = (cos(theta) sz + sin(theta) sx)/2.
+checked against; it also scores ``lhv``'s Wigner inequality with singlet
+probabilities, where that inequality fails.  Spin operators are realized in
+the x-z plane (matching the coplanar axis convention):
+S(theta) = (cos(theta) sz + sin(theta) sx)/2.
 The representation choice is arbitrary but fixed; every exported quantity
 depends only on angle differences.
 """
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from .geometry import Axis, PairCounts, V_MAX, sign_index, wrap_delta
+from .geometry import Axis, PairCounts, V_MAX, wrap_delta
 from .linalg import spectral_norm
 from .rng import substream
 
@@ -22,11 +24,6 @@ from .rng import substream
 NORM_CHECK_POINTS = 4096
 NORM_CHECK_STREAM = 10
 NORM_CHECK_TOL = 1e-12
-
-
-def singlet_joint_probability(a1: int, a: Axis, b2: int, b: Axis) -> float:
-    """One cell of singlet_joint_table: the probability of outcomes (a1, b2) along (a, b)."""
-    return float(singlet_joint_table(a, b)[sign_index(a1), sign_index(b2)])
 
 
 def singlet_expectation(a: Axis, b: Axis) -> float:
@@ -53,22 +50,30 @@ def sample_singlet_counts(rng: np.random.Generator, a: Axis, b: Axis, n: int) ->
     return PairCounts(*rng.multinomial(n, [same, opposite, opposite, same]).tolist())
 
 
+def quantum_wigner_violation(a: Axis, ap: Axis, b: Axis) -> tuple:
+    """Evaluate ``lhv.wigner_inequality_check``'s inequality with singlet probabilities.
+
+    Each measure M(+x & s y) is 2 P(+x, -s y), twice a cell of the
+    singlet's joint table: lhs = cos((theta_b - theta_a')/2)**2 and
+    rhs = cos((theta_b - theta_a)/2)**2 - sin((theta_a - theta_a')/2)**2.
+    Returns (lhs, rhs, violated); the inequality fails e.g. for coplanar
+    angles 0 <= theta_b < theta_a < theta_a' <= pi/2.
+    """
+    lhs = 2.0 * _singlet_cells(ap, b)[1]
+    rhs = 2.0 * _singlet_cells(a, b)[1]
+    rhs -= 2.0 * _singlet_cells(a, ap)[0]
+    return lhs, rhs, lhs < rhs
+
+
 def spin_operator(a: Axis) -> np.ndarray:
     """Real symmetric 2x2 spin projection operator along a coplanar axis; eigenvalues +-1/2."""
     return _spin_batch(np.float64(a.theta))
 
 
-def chsh_operator(a: Axis, ap: Axis, b: Axis, bp: Axis, sign_choice: int = 1) -> np.ndarray:
-    """The real symmetric 4x4 CHSH combination of tensor-product spin operators.
-
-    ``sign_choice`` selects which of the two sign patterns is built:
-    S1a S2b -+ S1a S2b' + S1a' S2b +- S1a' S2b' with the upper pattern
-    for +1.
-    """
-    if sign_choice not in (1, -1):
-        raise ValueError("sign_choice must be +1 or -1")
+def chsh_operator(a: Axis, ap: Axis, b: Axis, bp: Axis) -> np.ndarray:
+    """The real symmetric 4x4 CHSH operator S1a S2b - S1a S2b' + S1a' S2b + S1a' S2b'."""
     quad = np.array([[a.theta, ap.theta, b.theta, bp.theta]])
-    return _chsh_batch(quad, sign_choice)[0]
+    return _chsh_batch(quad, 1)[0]
 
 
 def _spin_batch(theta: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from bellfoundry.geometry import (
     sign_index,
     wrap_delta,
 )
-from bellfoundry.quantum import singlet_expectation, singlet_joint_probability
+from bellfoundry.quantum import singlet_expectation
 from bellfoundry.rng import substream
 
 
@@ -106,12 +106,10 @@ class TestSignIndex:
         "call",
         [
             lambda s: sign_index(s),
-            lambda s: singlet_joint_probability(s, Axis(0.0), 1, Axis(1.0)),
-            lambda s: singlet_joint_probability(1, Axis(0.0), s, Axis(1.0)),
             lambda s: model2.two_party_prob(Axis(0.3), Axis(0.0), Axis(1.0), s, 1),
             lambda s: model2.two_party_prob(Axis(0.3), Axis(0.0), Axis(1.0), 1, s),
         ],
-        ids=["sign_index", "singlet_a1", "singlet_b2", "two_party_c1", "two_party_b2"],
+        ids=["sign_index", "two_party_c1", "two_party_b2"],
     )
     def test_only_unit_signs(self, call, sign):
         with pytest.raises(ValueError, match="sign must be"):

@@ -17,7 +17,6 @@ from bellfoundry.lhv import (
     wigner_measures,
 )
 from bellfoundry.model2 import FieldSuperposition, predictions_equal
-from bellfoundry.quantum import chsh_operator
 from bellfoundry.rng import substream
 
 A, B = Axis(0.0), Axis(math.pi / 4)
@@ -51,7 +50,6 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
          "joint distribution must be finite"),
         (lambda: stochastic_defect(DeterministicSignModel(), A, 0, substream(1)),
          ValueError, "trial count must be positive"),
-        (lambda: chsh_operator(A, B, A, B, sign_choice=0), ValueError, "sign_choice must be"),
         (lambda: cli._parse_axes("0,1,2,x"), cli.UsageError, "bad angle in --axes"),
         (lambda: oracles.circle_quadratures((), [0.5], 0), ValueError,
          "quadrature needs n >= 1"),
@@ -80,7 +78,7 @@ F = FieldSuperposition([(1.0, Hemisphere(A, 1))])
         "pair_counts_negative", "estimate_magnitude", "constant_p",
         "chsh_value_sign", "subset_spec_empty", "mc_needs_n",
         "unknown_mode", "superposition_term", "superposition_finite", "joint_distribution_finite",
-        "stochastic_defect_n", "chsh_operator_sign", "parse_axes", "quadrature_n",
+        "stochastic_defect_n", "parse_axes", "quadrature_n",
         "quadrature_n_bool", "quadrature_n_float", "quadrature_angle", "chsh_value_nan",
         "estimate_nan", "hemi_offset_nan", "hemi_offset_inf", "wigner_check_unknown_mode",
         "conditional_fraction_n", "predictions_empty_grid", "conditional_fraction_empty_hemisphere",

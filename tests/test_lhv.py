@@ -1,6 +1,10 @@
 import hashlib
 import itertools
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,6 @@ from bellfoundry.lhv import (
     check_bell_theorem,
     chsh_value,
     joint_distribution_chsh,
-    quantum_wigner_violation,
     sample_model_counts,
     sample_sign_model_counts,
     sign_model_expectation_analytic,
@@ -35,6 +38,8 @@ from bellfoundry.lhv import (
 )
 from bellfoundry.oracles import circle_quadratures, half_circle_overlap_quadrature
 from bellfoundry.rng import substream
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def measure_std_error(measure: float, n: int) -> float:
@@ -564,28 +569,19 @@ class TestWignerMcEqualsOnesMean:
                 assert mc == float(member.mean()), (k, clauses)
 
 
-class TestQuantumWignerViolation:
-    def test_equal_primed_axes_not_violated(self):
-        a = Axis(0.8)
-        lhs, rhs, violated = quantum_wigner_violation(a, a, Axis(0.1))
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-        assert not violated
-
-    def test_all_zero_not_violated(self):
-        lhs, rhs, violated = quantum_wigner_violation(Axis(0.0), Axis(0.0), Axis(0.0))
-        assert lhs == 1.0 and rhs == 1.0 and not violated
-
-    def test_terms_match_singlet_conditionals(self):
-        # the lhs/rhs terms, read from singlet_joint_table, against the
-        # half-angle formulas written out here
-        rng = substream(48)
-        for _ in range(100):
-            a, ap, b = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=3))
-            lhs, rhs, _ = quantum_wigner_violation(a, ap, b)
-            lhs_q = math.cos((b.theta - ap.theta) / 2.0) ** 2
-            rhs_q = (
-                math.cos((b.theta - a.theta) / 2.0) ** 2
-                - math.sin((a.theta - ap.theta) / 2.0) ** 2
-            )
-            assert lhs == pytest.approx(lhs_q, abs=1e-12)
-            assert rhs == pytest.approx(rhs_q, abs=1e-12)
+class TestLayering:
+    def test_import_loads_no_quantum_layer(self):
+        # lhv holds the hidden-variable side alone: importing it in a fresh interpreter
+        # loads geometry, not the quantum predictions or the linear algebra and streams they use
+        probe = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); import bellfoundry.lhv; "
+            "print(json.dumps([bellfoundry.lhv.__file__, sorted(sys.modules)]))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(SRC)], capture_output=True, text=True, check=True
+        )
+        lhv_file, loaded = json.loads(done.stdout)
+        assert Path(lhv_file) == SRC / "bellfoundry" / "lhv.py"
+        assert "bellfoundry.geometry" in loaded
+        quantum_layer = {"bellfoundry.quantum", "bellfoundry.linalg", "bellfoundry.rng"}
+        assert sorted(quantum_layer.intersection(loaded)) == []

@@ -15,6 +15,7 @@ from bellfoundry.geometry import (
     PairCounts,
     V_MAX,
     empirical_expectation,
+    sign_index,
     wrap_delta,
 )
 from bellfoundry.lhv import (
@@ -28,7 +29,6 @@ from bellfoundry.model2 import decompose_field, two_party_prob
 from bellfoundry.quantum import (
     identity_residual,
     singlet_expectation,
-    singlet_joint_probability,
     singlet_joint_table,
     spin_operator,
 )
@@ -133,7 +133,8 @@ def test_two_party_field_is_singlet(label, tc, tb):
     for o1 in (1, -1):
         for o2 in (1, -1):
             p = two_party_prob(Axis(label), Axis(tc), Axis(tb), o1, o2)
-            assert abs(p - singlet_joint_probability(o1, Axis(tc), o2, Axis(tb))) < 1e-12
+            cell = singlet_joint_table(Axis(tc), Axis(tb))[sign_index(o1), sign_index(o2)]
+            assert abs(p - cell) < 1e-12
             total += p
     assert abs(total - 1.0) < 1e-12
 

@@ -5,7 +5,7 @@ import pytest
 
 from bellfoundry import quantum
 from bellfoundry.cli import OPTIMAL_AXES
-from bellfoundry.geometry import Axis, TSIRELSON_BOUND, V_MAX, wrap_delta
+from bellfoundry.geometry import Axis, TSIRELSON_BOUND, V_MAX, sign_index, wrap_delta
 from bellfoundry.linalg import spectral_norm
 from bellfoundry.quantum import (
     _chsh_batch,
@@ -13,8 +13,9 @@ from bellfoundry.quantum import (
     chsh_operator,
     identity_residual,
     identity_residual_scan,
+    quantum_wigner_violation,
     singlet_expectation,
-    singlet_joint_probability,
+    singlet_joint_table,
     spin_operator,
 )
 from bellfoundry.rng import substream
@@ -22,11 +23,12 @@ from bellfoundry.rng import substream
 
 class TestSingletLaw:
     def test_equal_axes_anticorrelation(self):
-        assert singlet_joint_probability(1, Axis(0.0), -1, Axis(0.0)) == pytest.approx(0.5)
-        assert singlet_joint_probability(1, Axis(0.0), 1, Axis(0.0)) == pytest.approx(0.0)
+        table = singlet_joint_table(Axis(0.0), Axis(0.0))
+        assert table[sign_index(1), sign_index(-1)] == pytest.approx(0.5)
+        assert table[sign_index(1), sign_index(1)] == pytest.approx(0.0)
 
     def test_right_angle(self):
-        p = singlet_joint_probability(1, Axis(0.0), -1, Axis(math.pi / 2))
+        p = singlet_joint_table(Axis(0.0), Axis(math.pi / 2))[sign_index(1), sign_index(-1)]
         assert p == pytest.approx(0.25)
 
     def test_cells_equal_the_old_closed_form(self):
@@ -45,8 +47,8 @@ class TestSingletLaw:
                 a, b = Axis(ta), Axis(tb)
                 for o1 in (1, -1):
                     for o2 in (1, -1):
-                        p = singlet_joint_probability(o1, a, o2, b)
-                        assert type(p) is float and p == old_cell(o1, a, o2, b)
+                        p = singlet_joint_table(a, b)[sign_index(o1), sign_index(o2)]
+                        assert p == old_cell(o1, a, o2, b)
 
     def test_expectation_values(self):
         assert singlet_expectation(Axis(0.0), Axis(0.0)) == pytest.approx(-0.25)
@@ -58,7 +60,7 @@ class TestSingletLaw:
         for _ in range(200):
             a, b = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=2))
             weighted = sum(
-                o1 * V_MAX * o2 * V_MAX * singlet_joint_probability(o1, a, o2, b)
+                o1 * V_MAX * o2 * V_MAX * singlet_joint_table(a, b)[sign_index(o1), sign_index(o2)]
                 for o1 in (1, -1)
                 for o2 in (1, -1)
             )
@@ -77,9 +79,20 @@ class TestSpinOperator:
 
 
 class TestChshOperator:
+    def test_builds_the_plus_sign_pattern(self):
+        # S1a S2b - S1a S2b' + S1a' S2b + S1a' S2b', summed here from np.kron
+        rng = substream(31)
+        for _ in range(100):
+            axes = [Axis(t) for t in rng.uniform(0, 2 * math.pi, size=4)]
+            s1a, s1ap, s2b, s2bp = (spin_operator(x) for x in axes)
+            expected = (
+                np.kron(s1a, s2b) - np.kron(s1a, s2bp) + np.kron(s1ap, s2b) + np.kron(s1ap, s2bp)
+            )
+            np.testing.assert_allclose(chsh_operator(*axes), expected, rtol=0, atol=1e-15)
+
     def test_degenerate_axes_norm(self):
         a, b = Axis(0.4), Axis(1.7)
-        op = chsh_operator(a, a, b, b, sign_choice=1)
+        op = chsh_operator(a, a, b, b)
         expected = 2.0 * np.kron(spin_operator(a), spin_operator(b))
         np.testing.assert_allclose(op, expected, atol=1e-14)
         assert spectral_norm(op) == pytest.approx(0.5, abs=1e-12)
@@ -91,7 +104,7 @@ class TestChshOperator:
         closed = 2 * V_MAX**2 * math.sqrt(1 + abs(math.sin(ap - a) * math.sin(bp - b)))
         norms = []
         for sign in (1, -1):
-            op = chsh_operator(*map(Axis, OPTIMAL_AXES), sign_choice=sign)
+            op = _chsh_batch(np.array([OPTIMAL_AXES]), sign)[0]
             norm = float(spectral_norm(op))
             assert norm == pytest.approx(np.linalg.norm(op, 2), abs=1e-10)
             assert norm == pytest.approx(closed, abs=1e-10)
@@ -108,7 +121,7 @@ class TestChshOperator:
                 op = spin_operator(axis)
                 assert np.array_equal(op, op.T)
             for sign in (1, -1):
-                op = chsh_operator(*axes, sign_choice=sign)
+                op = _chsh_batch(np.array([[x.theta for x in axes]]), sign)[0]
                 assert np.array_equal(op, op.T)
         for sign in (1, -1):
             ops = _chsh_batch(quads, sign)
@@ -119,15 +132,14 @@ class TestChshOperator:
         for _ in range(200):
             axes = [Axis(t) for t in rng.uniform(0, 2 * math.pi, size=4)]
             for sign in (1, -1):
-                assert spectral_norm(chsh_operator(*axes, sign_choice=sign)) <= (
-                    TSIRELSON_BOUND + 1e-10
-                )
+                op = _chsh_batch(np.array([[x.theta for x in axes]]), sign)[0]
+                assert spectral_norm(op) <= TSIRELSON_BOUND + 1e-10
 
 
 class TestOperatorIdentity:
     def test_commuting_case(self):
         a, b, bp = Axis(0.9), Axis(1.2), Axis(2.0)
-        op = chsh_operator(a, a, b, bp, sign_choice=1)
+        op = chsh_operator(a, a, b, bp)
         np.testing.assert_allclose(op @ op, 0.25 * np.eye(4), atol=1e-13)
 
     def test_optimal_axes(self):
@@ -144,7 +156,7 @@ class TestOperatorIdentity:
             s = [spin_operator(x) for x in axes]
             comm = np.kron(s[0] @ s[1] - s[1] @ s[0], s[2] @ s[3] - s[3] @ s[2])
             for sign in (1, -1):
-                op = chsh_operator(*axes, sign_choice=sign)
+                op = _chsh_batch(np.array([[x.theta for x in axes]]), sign)[0]
                 expected = 4.0 * V_MAX**4 * np.eye(4) + sign * comm
                 worst = max(worst, float(np.abs(op @ op - expected).max()))
         assert identity_residual_scan(200, seed) == pytest.approx(worst, abs=2**-52)
@@ -166,7 +178,7 @@ class TestNormGrid:
             a, ap, b, bp = (x.theta for x in axes)
             closed = 2 * V_MAX**2 * math.sqrt(1 + abs(math.sin(ap - a) * math.sin(bp - b)))
             for sign in (1, -1):
-                op = chsh_operator(*axes, sign_choice=sign)
+                op = _chsh_batch(np.array([[x.theta for x in axes]]), sign)[0]
                 assert np.abs(np.linalg.eigvalsh(op)).max() == pytest.approx(closed, abs=1e-12)
 
     def test_grid_optimum_has_tsirelson_spectrum(self):
@@ -179,3 +191,30 @@ class TestNormGrid:
         monkeypatch.setattr(quantum, "spectral_norm", lambda h: real(h) + 1e-9)
         with pytest.raises(ArithmeticError, match="eigvalsh"):
             chsh_norm_grid(8)
+
+
+class TestQuantumWignerViolation:
+    def test_equal_primed_axes_not_violated(self):
+        a = Axis(0.8)
+        lhs, rhs, violated = quantum_wigner_violation(a, a, Axis(0.1))
+        assert lhs == pytest.approx(rhs, abs=1e-12)
+        assert not violated
+
+    def test_all_zero_not_violated(self):
+        lhs, rhs, violated = quantum_wigner_violation(Axis(0.0), Axis(0.0), Axis(0.0))
+        assert lhs == 1.0 and rhs == 1.0 and not violated
+
+    def test_terms_match_singlet_conditionals(self):
+        # the lhs/rhs terms, read from the singlet's cells, against the
+        # half-angle formulas written out here
+        rng = substream(48)
+        for _ in range(100):
+            a, ap, b = (Axis(t) for t in rng.uniform(0, 2 * math.pi, size=3))
+            lhs, rhs, _ = quantum_wigner_violation(a, ap, b)
+            lhs_q = math.cos((b.theta - ap.theta) / 2.0) ** 2
+            rhs_q = (
+                math.cos((b.theta - a.theta) / 2.0) ** 2
+                - math.sin((a.theta - ap.theta) / 2.0) ** 2
+            )
+            assert lhs == pytest.approx(lhs_q, abs=1e-12)
+            assert rhs == pytest.approx(rhs_q, abs=1e-12)
