@@ -245,11 +245,11 @@ def _report_json(report: dict):
 def _write_report_files(out: str, report: dict) -> None:
     """Write the three files from the report, whole or not at all.
 
-    Each file goes to a temporary name beside its target; only when all
-    three are written are they moved into place with ``os.replace``, so
-    a failed write leaves the previous files and no temporary file.  Each
-    chunk (a pair's counts lines, a run's summary lines or a run's JSON)
-    is written as it is made; no file is held whole.
+    A directory in a target's place is refused before any file moves.  Each
+    file goes to a temporary name beside its target; once all three are
+    written they move into place with ``os.replace``, so a failed write
+    leaves the previous files and no temporary file.  Each chunk (a pair's
+    counts, a run's summary or JSON) is written as made; no file is held whole.
     """
     files = (("_counts.csv", _counts_csv(report)), ("_summary.csv", _summary_csv(report)),
              ("_report.json", _report_json(report)))
@@ -257,6 +257,8 @@ def _write_report_files(out: str, report: dict) -> None:
     try:
         for suffix, chunks in files:
             target = f"{out}{suffix}"
+            if os.path.isdir(target):
+                raise IsADirectoryError(f"{target} is a directory")
             temp = f"{target}.{os.urandom(8).hex()}.tmp"
             with open(temp, "x") as fh:
                 moves.append((temp, target))

@@ -319,11 +319,10 @@ def wigner_measures(
         if plus[axis].dtype != bool:
             raise ValueError("measure undefined for stochastic models")
     measures = []
-    for first, *rest in subsets:
-        member = plus[first.axis] if first.sign > 0 else ~plus[first.axis]
-        for clause in rest:
-            mask = plus[clause.axis]
-            member = member & mask if clause.sign > 0 else member & ~mask
+    for clauses in subsets:
+        member = np.ones(n, dtype=bool)
+        for clause in clauses:
+            member &= plus[clause.axis] if clause.sign > 0 else ~plus[clause.axis]
         # the exact count over n: the same double as member.mean()
         measures.append(np.count_nonzero(member) / n)
     return measures

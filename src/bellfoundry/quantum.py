@@ -118,10 +118,10 @@ def chsh_norm_grid(resolution: int) -> float:
     """Max CHSH operator norm over a coplanar (a', b, b') grid with a = 0.
 
     The grid steps are 2*pi/resolution, so the exact optimum lies on the
-    grid whenever resolution is a multiple of 8.  The squared-CHSH
-    identity fixes the spectrum, so every grid point is scored in closed
-    form, ||CHSH|| = 2 V_MAX^2 sqrt(1 + |sin(a' - a) sin(b' - b)|),
-    which is the same for both sign choices.
+    grid whenever resolution is a multiple of 8.  The squared-CHSH identity
+    gives ||CHSH|| = 2 V_MAX^2 sqrt(1 + |sin(a' - a)| |sin(b' - b)|) for both
+    signs; each rounded step of it grows with each factor, so the best point
+    pairs the two factors' maxima, and only the checked points are scored.
     As an independent route, ``eigvalsh`` of the explicitly built
     operators, both signs, at NORM_CHECK_POINTS seeded grid points and at
     the optimum must agree with the closed form to NORM_CHECK_TOL.
@@ -131,20 +131,13 @@ def chsh_norm_grid(resolution: int) -> float:
     thetas = np.arange(resolution) * (2.0 * math.pi / resolution)
     sin_ap = np.abs(np.sin(thetas))  # (a',)
     sin_bbp = np.abs(np.sin(thetas[None, :] - thetas[:, None]))  # (b, b')
-    # 2 V_MAX^2 sqrt(1 + sin_ap sin_bbp), built in one buffer
-    norms = sin_ap[:, None, None] * sin_bbp[None]
-    norms += 1.0
-    np.sqrt(norms, out=norms)
-    norms *= 2.0 * V_MAX**2
-    best_flat = int(np.argmax(norms))
+    best_flat = np.argmax(sin_ap) * resolution**2 + np.argmax(sin_bbp)
 
-    n_check = min(norms.size, NORM_CHECK_POINTS)
-    picks = substream(0, stream=NORM_CHECK_STREAM).choice(norms.size, n_check, replace=False)
+    n_check = min(resolution**3, NORM_CHECK_POINTS)
+    picks = substream(0, stream=NORM_CHECK_STREAM).choice(resolution**3, n_check, replace=False)
     picks = np.append(picks, best_flat)
-    # keep only the checked points (the best last), so the grid is freed before the eigen-solves
-    picked = norms.flat[picks]
-    del norms
     i_ap, i_b, i_bp = np.unravel_index(picks, (resolution,) * 3)
+    picked = 2.0 * V_MAX**2 * np.sqrt(1.0 + sin_ap[i_ap] * sin_bbp[i_b, i_bp])
     quads = np.stack([np.zeros(picks.size), thetas[i_ap], thetas[i_b], thetas[i_bp]], axis=-1)
     for sign in (1, -1):
         gap = np.abs(spectral_norm(_chsh_batch(quads, sign)) - picked).max()

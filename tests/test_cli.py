@@ -593,6 +593,20 @@ class TestAtomicReports:
             run_simulate({**config, "seed": 2})
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_directory_in_the_way_keeps_the_previous_report(self, tmp_path):
+        # unchecked, os.replace fails only at the summary, after the counts file has moved
+        config = self._config(tmp_path)
+        run_simulate(config)
+        (tmp_path / "run_summary.csv").unlink()
+        (tmp_path / "run_summary.csv").mkdir()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        with pytest.raises(IsADirectoryError):
+            run_simulate({**config, "seed": 2})
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"run{suffix}" for suffix in sorted(REPORT_SUFFIXES)
+        ]
+
     def test_write_phase_peak_below_128_kb(self, tmp_path):
         # for a 128-quadruple report (about 200 KB of JSON) writing every file chunk by
         # chunk peaks near 26 KB; building the two CSV files as line lists first peaked

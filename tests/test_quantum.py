@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,28 @@ class TestNormGrid:
         norm = chsh_norm_grid(64)
         assert type(norm) is float
         assert norm == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
+
+    def test_equals_the_largest_point_of_the_whole_grid(self):
+        # the reference scores all R^3 points of the closed form, as the function once did
+        for resolution in range(2, 65):
+            thetas = np.arange(resolution) * (2.0 * math.pi / resolution)
+            sin_ap = np.abs(np.sin(thetas))
+            sin_bbp = np.abs(np.sin(thetas[None, :] - thetas[:, None]))
+            norms = sin_ap[:, None, None] * sin_bbp[None]
+            norms += 1.0
+            np.sqrt(norms, out=norms)
+            norms *= 2.0 * V_MAX**2
+            assert chsh_norm_grid(resolution) == norms.max(), resolution
+
+    def test_grid_256_peak_below_16_mb(self):
+        # scoring only the checked points peaks near 3 MB; filling the 256^3 grid took 128.6 MB
+        tracemalloc.start()
+        try:
+            chsh_norm_grid(256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"chsh_norm_grid(256) peaked at {peak / 2**20:.1f} MB"
 
     def test_eigvalsh_disagreement_raises(self, monkeypatch):
         real = quantum.spectral_norm
